@@ -402,12 +402,15 @@ ThreadPoolEngine::ThreadPoolEngine(unsigned num_threads) {
     num_threads = std::thread::hardware_concurrency();
     if (num_threads == 0) num_threads = 1;
   }
+  // One deque per runner; the last belongs to the coordinating thread,
+  // which runs jobs while it waits instead of sleeping (wait_slot), so
+  // only num_threads - 1 workers are spawned.
   queues_.reserve(num_threads);
-  workers_.reserve(num_threads);
+  workers_.reserve(num_threads - 1);
   for (unsigned i = 0; i < num_threads; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
   }
-  for (unsigned i = 0; i < num_threads; ++i) {
+  for (unsigned i = 0; i + 1 < num_threads; ++i) {
     workers_.emplace_back([this, i] { worker_main(i); });
   }
 }
@@ -470,28 +473,38 @@ void ThreadPoolEngine::worker_main(std::size_t self) {
       work_ready_.wait(lock, [&] { return stop_ || pending_ > 0; });
       if (stop_) return;
     }
-    while (StreamSlot* slot = next_slot(self)) {
-      {
-        const std::lock_guard<std::mutex> lock(m_);
-        --pending_;
-      }
-      slot->out = compute(slot->job);
-      slot->done.store(true, std::memory_order_release);
-      {
-        // Empty critical section: a waiter that saw done == false must
-        // reach its cv wait before the notification fires, or miss it.
-        const std::lock_guard<std::mutex> lock(m_);
-      }
-      done_cv_.notify_all();
-    }
+    while (StreamSlot* slot = next_slot(self)) run_slot(*slot);
   }
 }
 
+void ThreadPoolEngine::run_slot(StreamSlot& slot) {
+  {
+    const std::lock_guard<std::mutex> lock(m_);
+    --pending_;
+  }
+  slot.out = compute(slot.job);
+  slot.done.store(true, std::memory_order_release);
+  {
+    // Empty critical section: a waiter that saw done == false must reach
+    // its cv wait before the notification fires, or miss it.
+    const std::lock_guard<std::mutex> lock(m_);
+  }
+  done_cv_.notify_all();
+}
+
 void ThreadPoolEngine::wait_slot(StreamSlot& slot) {
-  if (slot.done.load(std::memory_order_acquire)) return;
-  std::unique_lock<std::mutex> lock(m_);
-  done_cv_.wait(lock,
-                [&] { return slot.done.load(std::memory_order_acquire); });
+  // The coordinating thread is a runner too: it works the queues until
+  // none is left, and only then sleeps on the slot a worker still holds.
+  const std::size_t self = queues_.size() - 1;
+  while (!slot.done.load(std::memory_order_acquire)) {
+    if (StreamSlot* job = next_slot(self)) {
+      run_slot(*job);
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(m_);
+    done_cv_.wait(lock,
+                  [&] { return slot.done.load(std::memory_order_acquire); });
+  }
 }
 
 std::unique_ptr<EvalEngine> make_engine(unsigned num_threads) {
@@ -499,7 +512,8 @@ std::unique_ptr<EvalEngine> make_engine(unsigned num_threads) {
     num_threads = std::thread::hardware_concurrency();
     if (num_threads == 0) num_threads = 1;
   }
-  // A one-worker pool is just a serial engine paying handoff overhead.
+  // A one-runner pool would defer every job to the drain: serial does the
+  // same work without the handoff.
   if (num_threads == 1) return std::make_unique<SerialEngine>();
   return std::make_unique<ThreadPoolEngine>(num_threads);
 }

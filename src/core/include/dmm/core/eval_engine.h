@@ -368,7 +368,8 @@ class EvalEngine {
   virtual ~EvalEngine() = default;
 
   [[nodiscard]] virtual std::string name() const = 0;
-  /// Worker parallelism (1 for the serial engine).
+  /// Threads that run evaluations, the coordinating thread included (1 for
+  /// the serial engine).
   [[nodiscard]] virtual unsigned threads() const { return 1; }
 
   /// Scores every job; outcomes are returned in job order.  @p cache is a
@@ -454,18 +455,26 @@ class SerialEngine : public EvalEngine {
   [[nodiscard]] std::string name() const override { return "serial"; }
 };
 
-/// Persistent std::thread pool with per-worker work-stealing deques.
+/// Persistent std::thread pool with per-runner work-stealing deques.
 ///
-/// dispatch() enqueues the slot round-robin across workers and returns, so
-/// the coordinating thread overlaps candidate generation with evaluation.
-/// Each worker drains its own deque from the back and steals from the
-/// front of its siblings' when empty — candidate replays vary wildly in
-/// cost (a config that thrashes the free index replays 10x slower), so
-/// static striping alone leaves workers idle.  Outcomes land in the
-/// submitting session's slots, keeping result order deterministic.
+/// The coordinating thread counts as one of the num_threads runners: the
+/// pool spawns num_threads - 1 workers, and a coordinating thread blocked
+/// in stream_drain() runs queued jobs itself instead of sleeping (so a
+/// one-job session mostly runs inline, and a batch gets num_threads
+/// runners).
+/// dispatch() enqueues the slot round-robin across the runners' deques and
+/// returns, so the coordinating thread overlaps candidate generation with
+/// evaluation.  Each runner drains its own deque from the back and steals
+/// from the front of its siblings' when empty — candidate replays vary
+/// wildly in cost (a config that thrashes the free index replays 10x
+/// slower), so static striping alone leaves runners idle.  Outcomes land
+/// in the submitting session's slots, keeping result order deterministic.
+/// stream_poll() never runs jobs, so with num_threads == 1 (no worker)
+/// every job waits for the drain; make_engine() uses SerialEngine there.
 class ThreadPoolEngine : public EvalEngine {
  public:
-  /// @param num_threads  worker count; 0 = one per hardware thread.
+  /// @param num_threads  runner count, the coordinating thread included;
+  ///                     0 = one per hardware thread.
   explicit ThreadPoolEngine(unsigned num_threads = 0);
   ~ThreadPoolEngine() override;
 
@@ -474,7 +483,7 @@ class ThreadPoolEngine : public EvalEngine {
 
   [[nodiscard]] std::string name() const override { return "thread-pool"; }
   [[nodiscard]] unsigned threads() const override {
-    return static_cast<unsigned>(workers_.size());
+    return static_cast<unsigned>(queues_.size());
   }
 
  protected:
@@ -483,11 +492,14 @@ class ThreadPoolEngine : public EvalEngine {
 
  private:
   void worker_main(std::size_t self);
+  /// Computes one popped slot and signals its completion.
+  void run_slot(StreamSlot& slot);
   /// Pops from own deque (back) or steals (front); null when drained.
   [[nodiscard]] StreamSlot* next_slot(std::size_t self);
 
-  // Per-worker slot deques; each guarded by its own mutex so thieves only
-  // contend with the owner of the deque they rob.
+  // Per-runner slot deques (the last is the coordinating thread's); each
+  // guarded by its own mutex so thieves only contend with the owner of the
+  // deque they rob.
   struct WorkerQueue {
     std::mutex m;
     std::deque<StreamSlot*> q;
@@ -507,7 +519,8 @@ class ThreadPoolEngine : public EvalEngine {
 };
 
 /// Engine factory used by ExplorerOptions: 1 thread = serial, otherwise a
-/// pool (0 = hardware concurrency).
+/// pool (0 = hardware concurrency).  @p num_threads counts the calling
+/// thread as a runner: a pool of n spawns n - 1 workers.
 [[nodiscard]] std::unique_ptr<EvalEngine> make_engine(unsigned num_threads);
 
 }  // namespace dmm::core

@@ -91,8 +91,9 @@ struct ExplorerOptions {
   /// 0 keeps the paper's pure-footprint objective (work only tie-breaks).
   double time_weight = 0.0;
   /// Candidate-evaluation parallelism: 1 = in-thread serial engine,
-  /// N > 1 = ThreadPoolEngine with N workers, 0 = one worker per hardware
-  /// thread.  Results are bit-identical regardless of this value.
+  /// N > 1 = ThreadPoolEngine with N runners (the calling thread plus
+  /// N - 1 workers), 0 = one runner per hardware thread.  Results are
+  /// bit-identical regardless of this value.
   unsigned num_threads = 1;
   /// Memoize candidate scores for the duration of one search call —
   /// repaired completions collide often in the greedy walk, and a hit

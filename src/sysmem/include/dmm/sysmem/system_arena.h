@@ -55,6 +55,17 @@ struct ArenaSnapshot {
 /// accounting the experiments need.)  Distinct arenas on distinct threads
 /// are fully independent.
 ///
+/// **Slab recycling.**  A destroyed arena parks its slab in a small
+/// per-thread cache (at most kCachedSlabsPerThread slabs, each keeping at
+/// most kSlabResidentBytes resident) and the next arena built on that
+/// thread reuses it, so scoring thousands of candidates costs no mmap,
+/// munmap or page-fault storm per candidate.  The cache is unmapped at
+/// thread exit; an arena may be created and destroyed on different threads
+/// (the slab joins the destroying thread's cache).  A recycled slab holds
+/// whatever the previous arena left in it, so no manager may read memory
+/// it has not written.  Under AddressSanitizer a cached slab is poisoned,
+/// keeping reads through a destroyed arena detectable.
+///
 /// **Deterministic addresses.**  Chunks are carved from one reserved slab
 /// (lowest-offset-first reuse of released regions), so an identical
 /// request/release sequence yields identical chunk *offsets* — and hence
@@ -68,16 +79,25 @@ class SystemArena {
   /// Page granularity used to round requests, like an MMU page.
   static constexpr std::size_t kDefaultPageSize = 4096;
 
-  /// Virtual reservation backing one arena (lazily mapped, pages commit on
-  /// touch).  ~1000x the largest workload footprint in the repo; request()
-  /// fails like an exhausted OS once it is spent.  Shrunk on 32-bit hosts,
-  /// where 4 GiB does not even fit in size_t.
+  /// Virtual reservation backing one arena (lazily mapped or taken from
+  /// the thread's slab cache, pages commit on touch).  ~1000x the largest
+  /// workload footprint in the repo; request() fails like an exhausted OS
+  /// once it is spent.  Shrunk on 32-bit hosts, where 4 GiB does not even
+  /// fit in size_t.
   static constexpr std::size_t kSlabBytes = sizeof(std::size_t) >= 8
                                                 ? std::size_t{1} << 32
                                                 : std::size_t{1} << 30;
   /// Reservation used by the no-mmap fallback, which allocates eagerly and
   /// therefore must stay modest.
   static constexpr std::size_t kFallbackSlabBytes = std::size_t{1} << 28;
+  /// Slabs one thread keeps for reuse after their arenas are destroyed;
+  /// further slabs are unmapped.  Replays hold one arena at a time; the
+  /// second slot serves code that nests one more (a checkpoint resume
+  /// falling back to a cold replay).
+  static constexpr std::size_t kCachedSlabsPerThread = 2;
+  /// Resident bytes a cached slab may keep: pages past this prefix of the
+  /// slab are dropped (MADV_DONTNEED) when the slab is recycled.
+  static constexpr std::size_t kSlabResidentBytes = std::size_t{16} << 20;
 
   /// Signature: (stats, delta_bytes) with delta>0 for growth, <0 for shrink.
   using Observer = std::function<void(const ArenaStats&, long long)>;
@@ -92,6 +112,9 @@ class SystemArena {
 
   SystemArena(const SystemArena&) = delete;
   SystemArena& operator=(const SystemArena&) = delete;
+  /// Parks the slab in this thread's slab cache (trimmed to
+  /// kSlabResidentBytes resident); unmaps it when the cache is full or
+  /// already torn down by thread exit.
   ~SystemArena();
 
   /// Obtains @p bytes (rounded up to the page size) from the simulated OS.
@@ -154,7 +177,8 @@ class SystemArena {
   [[nodiscard]] const std::byte* slab_base() const { return slab_; }
 
  private:
-  /// Maps the slab on first use (keeps never-used arenas free).
+  /// Takes a slab from the thread's cache, or maps one, on first use
+  /// (keeps never-used arenas free).
   [[nodiscard]] bool ensure_slab();
   /// Lowest-offset region of >= @p size bytes, or npos.
   [[nodiscard]] std::size_t take_region(std::size_t size);
@@ -171,9 +195,11 @@ class SystemArena {
   // Deterministic slab: released regions keyed by offset (ordered, so
   // reuse is lowest-offset-first), plus a bump pointer for fresh carves.
   std::byte* slab_ = nullptr;
-  std::size_t slab_bytes_ = 0;  ///< reservation size actually mapped
-  bool slab_failed_ = false;    ///< reservation failed; don't retry
+  bool slab_failed_ = false;  ///< reservation failed; don't retry
   std::size_t bump_ = 0;
+  /// Slab extent carved since it was mapped, by this arena or an earlier
+  /// owner: what the cache poisons and trims.
+  std::size_t touched_ = 0;
   std::map<std::size_t, std::size_t> free_regions_;  // offset -> size
 };
 

@@ -1,6 +1,7 @@
 #include "dmm/sysmem/system_arena.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,6 +11,14 @@
 #define DMM_SYSMEM_HAVE_MMAP 1
 #else
 #include <new>
+#endif
+
+// The poisoning macros expand to nothing unless AddressSanitizer is on.
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
 #endif
 
 namespace dmm::sysmem {
@@ -33,6 +42,75 @@ std::size_t grain_rounded(std::size_t bytes) {
   return (bytes + kGrainBytes - 1) & ~(kGrainBytes - 1);
 }
 
+/// Size of every slab this build maps (one per arena, recycled).
+#if DMM_SYSMEM_HAVE_MMAP
+constexpr std::size_t kMappedSlabBytes = SystemArena::kSlabBytes;
+#else
+constexpr std::size_t kMappedSlabBytes = SystemArena::kFallbackSlabBytes;
+#endif
+
+void unmap_slab(std::byte* base, std::size_t touched) {
+  ASAN_UNPOISON_MEMORY_REGION(base, touched);
+#if DMM_SYSMEM_HAVE_MMAP
+  ::munmap(base, kMappedSlabBytes);
+#else
+  ::operator delete(base, std::align_val_t{kGrainBytes});
+#endif
+}
+
+/// A slab parked by a destroyed arena, with the extent [0, touched) that
+/// arenas have carved from it since it was mapped.
+struct CachedSlab {
+  std::byte* base = nullptr;
+  std::size_t touched = 0;
+};
+
+/// Set when this thread's SlabCache is destroyed.  Trivially destructible,
+/// so it stays readable through the rest of thread exit: an arena owned by
+/// a later-destroyed thread_local sees it and unmaps its slab instead.
+thread_local bool t_slab_cache_gone = false;
+
+/// The slabs this thread's destroyed arenas left behind (LIFO, so the
+/// warmest slab is reused first).  Unmapped at thread exit.
+class SlabCache {
+ public:
+  SlabCache() = default;
+  SlabCache(const SlabCache&) = delete;
+  SlabCache& operator=(const SlabCache&) = delete;
+  ~SlabCache() {
+    while (count_ > 0) {
+      const CachedSlab& slab = slabs_[--count_];
+      unmap_slab(slab.base, slab.touched);
+    }
+    t_slab_cache_gone = true;
+  }
+
+  /// False when the cache is full; the caller keeps the slab.
+  bool put(CachedSlab slab) {
+    if (count_ == slabs_.size()) return false;
+    slabs_[count_++] = slab;
+    return true;
+  }
+
+  /// False when the cache is empty.
+  bool take(CachedSlab* slab) {
+    if (count_ == 0) return false;
+    *slab = slabs_[--count_];
+    return true;
+  }
+
+ private:
+  std::array<CachedSlab, SystemArena::kCachedSlabsPerThread> slabs_{};
+  std::size_t count_ = 0;
+};
+
+/// This thread's slab cache, or null once thread exit has destroyed it.
+SlabCache* this_thread_slab_cache() {
+  if (t_slab_cache_gone) return nullptr;
+  thread_local SlabCache cache;
+  return &cache;
+}
+
 }  // namespace
 
 SystemArena::SystemArena(std::size_t capacity_bytes, std::size_t page_size)
@@ -44,19 +122,38 @@ SystemArena::SystemArena(std::size_t capacity_bytes, std::size_t page_size)
 
 SystemArena::~SystemArena() {
   // Managers are expected to release everything; tests assert
-  // live_chunks()==0.  The whole slab goes back to the OS either way.
-  if (slab_ != nullptr) {
+  // live_chunks()==0.  The slab is parked in this thread's cache for the
+  // next arena either way; mapping a fresh one per arena cost a kernel
+  // round trip plus a page fault per touched page on every replay.
+  if (slab_ == nullptr) return;
 #if DMM_SYSMEM_HAVE_MMAP
-    ::munmap(slab_, slab_bytes_);
-#else
-    ::operator delete(slab_, std::align_val_t{kGrainBytes});
+  if (touched_ > kSlabResidentBytes) {
+    // Bound what an idle cached slab keeps resident.  Anonymous pages read
+    // back as zeros after this; no manager may depend on either content.
+    ::madvise(slab_ + kSlabResidentBytes, touched_ - kSlabResidentBytes,
+              MADV_DONTNEED);
+  }
 #endif
+  // Poisoned while cached, so a read through a destroyed arena still trips
+  // ASan the way the unmapped slab used to fault.
+  ASAN_POISON_MEMORY_REGION(slab_, touched_);
+  SlabCache* cache = this_thread_slab_cache();
+  if (cache == nullptr || !cache->put({slab_, touched_})) {
+    unmap_slab(slab_, touched_);
   }
 }
 
 bool SystemArena::ensure_slab() {
   if (slab_ != nullptr) return true;
   if (slab_failed_) return false;
+  CachedSlab cached;
+  SlabCache* cache = this_thread_slab_cache();
+  if (cache != nullptr && cache->take(&cached)) {
+    ASAN_UNPOISON_MEMORY_REGION(cached.base, cached.touched);
+    slab_ = cached.base;
+    touched_ = cached.touched;
+    return true;
+  }
 #if DMM_SYSMEM_HAVE_MMAP
   void* p = ::mmap(nullptr, kSlabBytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS
@@ -70,7 +167,6 @@ bool SystemArena::ensure_slab() {
     return false;
   }
   slab_ = static_cast<std::byte*>(p);
-  slab_bytes_ = kSlabBytes;
 #else
   // Fallback: one *eager* allocation, so it must stay modest — and it is
   // attempted once (a failed 256 MiB grab would otherwise repeat on every
@@ -81,7 +177,6 @@ bool SystemArena::ensure_slab() {
     slab_failed_ = true;
     return false;
   }
-  slab_bytes_ = kFallbackSlabBytes;
 #endif
   return true;
 }
@@ -98,9 +193,10 @@ std::size_t SystemArena::take_region(std::size_t size) {
     if (remainder > 0) free_regions_.emplace(offset + size, remainder);
     return offset;
   }
-  if (slab_bytes_ - bump_ < size) return kNpos;
+  if (kMappedSlabBytes - bump_ < size) return kNpos;
   const std::size_t offset = bump_;
   bump_ += size;
+  touched_ = std::max(touched_, bump_);
   return offset;
 }
 
@@ -202,11 +298,12 @@ bool SystemArena::restore_state(const ArenaSnapshot& snap) {
     return false;
   }
   if (snap.bump > 0 && !ensure_slab()) return false;
-  if (snap.bump > slab_bytes_) return false;  // fallback slab too small
+  if (snap.bump > kMappedSlabBytes) return false;  // fallback slab too small
   if (snap.bump > 0) {
     std::memcpy(slab_, snap.bytes.data(), snap.bump);
   }
   bump_ = snap.bump;
+  touched_ = std::max(touched_, bump_);
   free_regions_.clear();
   for (const auto& [offset, size] : snap.free_regions) {
     free_regions_.emplace(offset, size);

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "dmm/core/explorer.h"
 #include "dmm/workloads/workload.h"
@@ -224,6 +226,103 @@ TEST(EvalEngine, DirectBatchMatchesSerial) {
   EXPECT_TRUE(a[3].from_cache);
   EXPECT_EQ(cache_a.size(), 3u);
   EXPECT_EQ(cache_b.size(), 3u);
+}
+
+/// @p n distinct decision vectors (no two share a canonical form).
+std::vector<EvalJob> distinct_jobs(std::size_t n) {
+  std::vector<EvalJob> jobs;
+  const alloc::FitAlgorithm fits[] = {alloc::FitAlgorithm::kFirstFit,
+                                      alloc::FitAlgorithm::kBestFit,
+                                      alloc::FitAlgorithm::kWorstFit};
+  for (std::size_t i = 0; i < n; ++i) {
+    DmmConfig cfg = alloc::drr_paper_config();
+    cfg.fit = fits[i % 3];
+    cfg.chunk_bytes *= 1 + i / 3;
+    jobs.push_back({cfg, i});
+  }
+  return jobs;
+}
+
+void expect_same_outcomes(const std::vector<EvalOutcome>& a,
+                          const std::vector<EvalOutcome>& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].tag, b[i].tag) << what << " job " << i;
+    EXPECT_EQ(a[i].from_cache, b[i].from_cache) << what << " job " << i;
+    EXPECT_EQ(a[i].sim.peak_footprint, b[i].sim.peak_footprint)
+        << what << " job " << i;
+    EXPECT_EQ(a[i].sim.avg_footprint, b[i].sim.avg_footprint)
+        << what << " job " << i;
+    EXPECT_EQ(a[i].sim.failed_allocs, b[i].sim.failed_allocs)
+        << what << " job " << i;
+    EXPECT_EQ(a[i].work_steps, b[i].work_steps) << what << " job " << i;
+  }
+}
+
+TEST(EvalEngine, OneJobAndOversubscribedSessionsMatchSerial) {
+  // The coordinating thread runs jobs while it drains: a one-job session
+  // may run entirely inline, a long one is split between it and the
+  // workers.  Either way the outcomes are the serial ones.
+  const AllocTrace trace = workload_trace("drr", 2000);
+  const std::vector<EvalJob> many = distinct_jobs(20);
+  const std::vector<EvalJob> one(many.begin(), many.begin() + 1);
+  SerialEngine serial;
+  const std::vector<EvalOutcome> serial_one = serial.evaluate(trace, one);
+  const std::vector<EvalOutcome> serial_many = serial.evaluate(trace, many);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    ThreadPoolEngine pool(threads);
+    EXPECT_EQ(pool.threads(), threads);
+    const std::string what = std::to_string(threads) + " threads";
+    expect_same_outcomes(serial_one, pool.evaluate(trace, one), what);
+    expect_same_outcomes(serial_many, pool.evaluate(trace, many), what);
+    ScoreCache cache;
+    ScoreCache serial_cache;
+    expect_same_outcomes(serial.evaluate(trace, many, &serial_cache),
+                         pool.evaluate(trace, many, &cache), what + " cached");
+  }
+}
+
+TEST(EvalEngine, BackToBackTinySessionsStressTheHelperPath) {
+  const AllocTrace trace = workload_trace("drr", 200);
+  const std::vector<EvalJob> jobs = distinct_jobs(6);
+  SerialEngine serial;
+  const std::vector<EvalOutcome> expected = serial.evaluate(trace, jobs);
+  ThreadPoolEngine pool(4);
+  for (int session = 0; session < 300; ++session) {
+    // Sessions of 1..3 jobs: shorter than the pool, so the caller and the
+    // woken workers race for every job.
+    const std::size_t begin = static_cast<std::size_t>(session) % 4;
+    const std::size_t len = 1 + static_cast<std::size_t>(session) % 3;
+    const std::vector<EvalJob> batch(jobs.begin() + begin,
+                                     jobs.begin() + begin + len);
+    const std::vector<EvalOutcome> want(expected.begin() + begin,
+                                        expected.begin() + begin + len);
+    expect_same_outcomes(want, pool.evaluate(trace, batch),
+                         "session " + std::to_string(session));
+  }
+}
+
+TEST(EvalEngine, StreamPollProgressesWithoutADrainAtTwoThreads) {
+  // Two runners = one worker + the caller.  The caller only runs jobs
+  // inside a drain, so polling alone must be served by the worker.
+  const AllocTrace trace = workload_trace("drr", 1000);
+  const std::vector<EvalJob> jobs = distinct_jobs(3);
+  ThreadPoolEngine pool(2);
+  pool.stream_begin(trace);
+  for (const EvalJob& job : jobs) pool.stream_submit(job);
+  std::vector<EvalOutcome> polled;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (polled.size() < jobs.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (EvalOutcome& out : pool.stream_poll()) polled.push_back(out);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(polled.size(), jobs.size()) << "poll made no progress";
+  EXPECT_TRUE(pool.stream_drain().empty());
+  SerialEngine serial;
+  expect_same_outcomes(serial.evaluate(trace, jobs), polled, "polled");
 }
 
 class EngineDeterminism : public ::testing::TestWithParam<const char*> {};

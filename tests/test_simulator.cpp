@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "dmm/alloc/custom_manager.h"
+#include "dmm/alloc/policy_core.h"
+#include "dmm/core/explorer.h"
 #include "dmm/managers/kingsley.h"
 #include "dmm/managers/lea.h"
+#include "dmm/managers/registry.h"
+#include "dmm/workloads/workload.h"
 
 namespace dmm::core {
 namespace {
@@ -142,6 +151,81 @@ TEST(Simulator, DeterministicAcrossRuns) {
   EXPECT_EQ(a.peak_footprint, b.peak_footprint);
   EXPECT_EQ(a.final_footprint, b.final_footprint);
   EXPECT_EQ(a.avg_footprint, b.avg_footprint);
+}
+
+// ---------------------------------------------------------------------------
+// Recycled arena slabs: a replay must not depend on what the slab held
+// ---------------------------------------------------------------------------
+
+/// Leaves a slab full of 0xA5 in this thread's slab cache, so the next
+/// arena built on this thread starts on dirty memory; returns its base.
+const std::byte* park_dirty_slab() {
+  sysmem::SystemArena arena;
+  const std::size_t bytes = sysmem::SystemArena::kSlabResidentBytes;
+  std::byte* p = arena.request(bytes);
+  std::memset(p, 0xA5, bytes);
+  arena.release(p);
+  return arena.slab_base();
+}
+
+struct Replay {
+  SimResult sim;
+  std::uint64_t work_steps = 0;  ///< policy core only
+  const std::byte* slab = nullptr;
+};
+
+/// Replays @p t through @p manager ("designed" = the policy core built from
+/// @p designed) on a new arena of the calling thread.
+Replay replay(const AllocTrace& t, const std::string& manager,
+              const alloc::DmmConfig& designed) {
+  Replay r;
+  sysmem::SystemArena arena;
+  if (manager == "designed") {
+    alloc::PolicyCore core(arena, designed, "designed",
+                           /*strict_accounting=*/false);
+    r.sim = simulate(t, core);
+    r.work_steps = core.work_steps();
+  } else {
+    const std::unique_ptr<alloc::Allocator> m =
+        managers::make_manager(manager, arena);
+    r.sim = simulate(t, *m);
+  }
+  r.slab = arena.slab_base();
+  return r;
+}
+
+TEST(Simulator, ReplayOnARecycledDirtySlabMatchesAFreshThread) {
+  for (const workloads::Workload& w : workloads::case_studies()) {
+    AllocTrace t = workloads::record_trace(w, 3);
+    if (t.size() > 20000) {
+      t.events().resize(20000);
+      t.close_leaks();
+    }
+    ExplorerOptions opts;
+    const alloc::DmmConfig designed = Explorer(t, opts).explore().best;
+    for (const char* manager :
+         {"designed", "kingsley", "lea", "regions", "obstacks"}) {
+      const std::string what = w.name + " / " + manager;
+      const std::byte* dirty = park_dirty_slab();
+      const Replay recycled = replay(t, manager, designed);
+      ASSERT_EQ(recycled.slab, dirty) << what << ": replay got a clean slab";
+      Replay fresh;
+      std::thread([&] { fresh = replay(t, manager, designed); }).join();
+      ASSERT_LE(fresh.sim.peak_footprint,
+                sysmem::SystemArena::kSlabResidentBytes)
+          << what << ": footprint exceeds the dirtied prefix";
+      EXPECT_EQ(recycled.sim.peak_footprint, fresh.sim.peak_footprint)
+          << what;
+      EXPECT_EQ(recycled.sim.final_footprint, fresh.sim.final_footprint)
+          << what;
+      EXPECT_EQ(recycled.sim.avg_footprint, fresh.sim.avg_footprint) << what;
+      EXPECT_EQ(recycled.sim.peak_live_bytes, fresh.sim.peak_live_bytes)
+          << what;
+      EXPECT_EQ(recycled.sim.failed_allocs, fresh.sim.failed_allocs) << what;
+      EXPECT_EQ(recycled.sim.events, fresh.sim.events) << what;
+      EXPECT_EQ(recycled.work_steps, fresh.work_steps) << what;
+    }
+  }
 }
 
 }  // namespace
