@@ -12,11 +12,13 @@
 //     arena peak the simulator scored for the designed vector EXACTLY
 //     (the policy-core/runtime-front split's bit-parity promise),
 //   * designed vs system throughput and the designed peak are reported
-//     for the head-to-head table.
+//     for the head-to-head table.  Every race runs kRaceRepeats times on
+//     a fresh front; the JSON records the median, min and max ops/s.
 //
 // Optional argv[1]: cap on trace events (0 = full trace); `--out PATH`
 // relocates the JSON.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +51,10 @@ struct MallocApi {
   std::function<void*(std::size_t)> alloc;
   std::function<void(void*)> dealloc;
 };
+
+/// Runs per race; one run is a few milliseconds at CI's event cap, so a
+/// single shot mostly measures scheduling noise.
+constexpr int kRaceRepeats = 5;
 
 struct ReplayOutcome {
   std::uint64_t ops = 0;        ///< events actually executed
@@ -103,6 +109,36 @@ struct ContenderNumbers {
   std::uint64_t corrupted = 0;
   std::size_t peak_footprint = 0;  ///< designed runtime only (arena truth)
 };
+
+/// kRaceRepeats runs of one contender: ops/s spread, summed losses and
+/// corruptions, and the largest peak.
+struct RepeatedNumbers {
+  std::uint64_t ops = 0;  ///< per run
+  double median_ops_per_sec = 0.0;
+  double min_ops_per_sec = 0.0;
+  double max_ops_per_sec = 0.0;
+  std::uint64_t lost = 0;
+  std::uint64_t corrupted = 0;
+  std::size_t peak_footprint = 0;
+};
+
+RepeatedNumbers repeat(const std::function<ContenderNumbers()>& run_once) {
+  RepeatedNumbers r;
+  std::vector<double> rates;
+  for (int i = 0; i < kRaceRepeats; ++i) {
+    const ContenderNumbers n = run_once();
+    r.ops = n.ops;
+    r.lost += n.lost;
+    r.corrupted += n.corrupted;
+    r.peak_footprint = std::max(r.peak_footprint, n.peak_footprint);
+    rates.push_back(static_cast<double>(n.ops) / n.seconds);
+  }
+  std::sort(rates.begin(), rates.end());
+  r.median_ops_per_sec = rates[rates.size() / 2];
+  r.min_ops_per_sec = rates.front();
+  r.max_ops_per_sec = rates.back();
+  return r;
+}
 
 /// Runs one thread per trace, all against the same @p make_api product.
 ContenderNumbers race(const std::vector<core::AllocTrace>& traces,
@@ -202,8 +238,8 @@ int main(int argc, char** argv) {
 
   struct Row {
     unsigned threads;
-    ContenderNumbers designed;
-    ContenderNumbers system;
+    RepeatedNumbers designed;
+    RepeatedNumbers system;
   };
   std::vector<Row> rows;
   for (const unsigned threads : thread_counts) {
@@ -216,26 +252,30 @@ int main(int argc, char** argv) {
 
     Row row;
     row.threads = threads;
-    {
+    row.designed = repeat([&] {
       runtime::DesignedAllocator front(cfg);  // caches on: deployment mode
-      row.designed = race(traces, [&front](unsigned) {
+      ContenderNumbers numbers = race(traces, [&front](unsigned) {
         return MallocApi{[&front](std::size_t n) { return front.malloc(n); },
                          [&front](void* p) { front.free(p); }};
       });
-      row.designed.peak_footprint = front.telemetry().arena.peak_footprint;
-    }
-    row.system = race(traces, [](unsigned) {
-      return MallocApi{[](std::size_t n) { return std::malloc(n); },
-                       [](void* p) { std::free(p); }};
+      numbers.peak_footprint = front.telemetry().arena.peak_footprint;
+      return numbers;
+    });
+    row.system = repeat([&] {
+      return race(traces, [](unsigned) {
+        return MallocApi{[](std::size_t n) { return std::malloc(n); },
+                         [](void* p) { std::free(p); }};
+      });
     });
     rows.push_back(row);
+    const RepeatedNumbers& d = row.designed;
+    const RepeatedNumbers& s = row.system;
     std::printf(
-        "%2u thread(s): designed %8.0f ops/s (peak %9zu B), system "
-        "%8.0f ops/s\n",
-        threads,
-        static_cast<double>(row.designed.ops) / row.designed.seconds,
-        row.designed.peak_footprint,
-        static_cast<double>(row.system.ops) / row.system.seconds);
+        "%2u thread(s): designed %8.0f ops/s [%8.0f, %8.0f] (peak %9zu B), "
+        "system %8.0f ops/s [%8.0f, %8.0f]\n",
+        threads, d.median_ops_per_sec, d.min_ops_per_sec, d.max_ops_per_sec,
+        d.peak_footprint, s.median_ops_per_sec, s.min_ops_per_sec,
+        s.max_ops_per_sec);
   }
 
   // --- JSON ---------------------------------------------------------------
@@ -256,19 +296,22 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(replay_gate.lost));
   std::fprintf(json, "  \"replay_corrupted\": %llu,\n",
                static_cast<unsigned long long>(replay_gate.corrupted));
+  std::fprintf(json, "  \"race_repeats\": %d,\n", kRaceRepeats);
   std::fprintf(json, "  \"races\": [");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(json, "%s\n    {\n      \"threads\": %u,\n",
                  i == 0 ? "" : ",", r.threads);
-    const auto contender = [json](const char* name,
-                                  const ContenderNumbers& n, bool last) {
+    const auto contender = [json](const char* name, const RepeatedNumbers& n,
+                                  bool last) {
       std::fprintf(json,
-                   "      \"%s\": {\"ops\": %llu, \"seconds\": %.6f, "
-                   "\"ops_per_sec\": %.1f, \"lost\": %llu, "
-                   "\"corrupted\": %llu, \"peak_footprint\": %zu}%s\n",
-                   name, static_cast<unsigned long long>(n.ops), n.seconds,
-                   static_cast<double>(n.ops) / n.seconds,
+                   "      \"%s\": {\"ops\": %llu, "
+                   "\"ops_per_sec_median\": %.1f, "
+                   "\"ops_per_sec_min\": %.1f, \"ops_per_sec_max\": %.1f, "
+                   "\"lost\": %llu, \"corrupted\": %llu, "
+                   "\"peak_footprint\": %zu}%s\n",
+                   name, static_cast<unsigned long long>(n.ops),
+                   n.median_ops_per_sec, n.min_ops_per_sec, n.max_ops_per_sec,
                    static_cast<unsigned long long>(n.lost),
                    static_cast<unsigned long long>(n.corrupted),
                    n.peak_footprint, last ? "" : ",");

@@ -1,8 +1,13 @@
 #ifndef DMM_ALLOC_CHUNK_H
 #define DMM_ALLOC_CHUNK_H
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
-#include <map>
+#include <cstdint>
+#include <vector>
+
+#include "dmm/sysmem/system_arena.h"
 
 namespace dmm::alloc {
 
@@ -60,57 +65,88 @@ struct alignas(16) ChunkHeader {
 static_assert(sizeof(ChunkHeader) % 16 == 0,
               "chunk header must preserve block alignment");
 
-/// Address index over live chunks: pointer -> owning chunk.
+/// Address index over live chunks: pointer -> owning chunk, in O(1).
 ///
-/// A production allocator derives the chunk base by address masking
-/// (chunks are naturally aligned); the simulated arena hands out
-/// malloc-aligned chunks instead, so this host-side map stands in for that
-/// masking.  It is bookkeeping the real system gets for free and is
-/// therefore not charged to the footprint (see DESIGN.md).
+/// Every chunk is an arena grant, so its base sits at a slab offset that is
+/// a multiple of the arena's page size (and of its 16-byte carve grain).
+/// The index is a page table over the slab: one entry per granule of
+/// max(page size, 16) bytes, each naming the chunk that covers it.  It
+/// grows with the slab extent the chunks reach, never with the arena's
+/// reservation.  A production allocator derives the chunk base by address
+/// masking instead; this is bookkeeping the real system gets for free and
+/// is therefore not charged to the footprint.
 class ChunkIndex {
  public:
-  void add(ChunkHeader* chunk) { by_base_[chunk->base()] = chunk; }
+  explicit ChunkIndex(const sysmem::SystemArena& arena)
+      : arena_(&arena), shift_(granule_shift(arena.page_size())) {}
+
+  void add(ChunkHeader* chunk) {
+    const std::size_t first = granule_of(chunk->base());
+    const std::size_t last = granule_of(chunk->end() - 1);
+    if (last >= table_.size()) table_.resize(last + 1, nullptr);
+    std::fill(&table_[first], &table_[last] + 1, chunk);
+    ++size_;
+  }
 
   void remove(ChunkHeader* chunk) {
-    if (last_ == chunk) last_ = nullptr;
-    by_base_.erase(chunk->base());
+    const std::size_t first = granule_of(chunk->base());
+    const std::size_t last = granule_of(chunk->end() - 1);
+    std::fill(&table_[first], &table_[last] + 1, nullptr);
+    --size_;
   }
 
   /// Chunk whose [base, end) range contains @p p, or nullptr.
   [[nodiscard]] ChunkHeader* find(const void* p) const {
-    // One-entry cache: allocator traffic is strongly chunk-local.
-    auto* q = static_cast<const std::byte*>(p);
-    if (last_ != nullptr && q >= last_->base() && q < last_->end()) {
-      return last_;
+    const std::byte* slab = arena_->slab_base();
+    if (slab == nullptr) return nullptr;
+    // dmm-lint: allow(ptr-order): slab-relative offset, not an ordering
+    const auto addr = reinterpret_cast<std::uintptr_t>(p);
+    // dmm-lint: allow(ptr-order): slab-relative offset, not an ordering
+    const std::uintptr_t offset = addr - reinterpret_cast<std::uintptr_t>(slab);
+    const std::uintptr_t granule = offset >> shift_;
+    if (granule >= table_.size()) return nullptr;
+    ChunkHeader* c = table_[granule];
+    // The last granule of a chunk may extend past its end when the page
+    // size is below the 16-byte grain.
+    if (c == nullptr || static_cast<const std::byte*>(p) >= c->end()) {
+      return nullptr;
     }
-    auto it = by_base_.upper_bound(q);
-    if (it == by_base_.begin()) return nullptr;
-    --it;
-    ChunkHeader* c = it->second;
-    if (q >= c->end()) return nullptr;
-    last_ = c;
     return c;
   }
 
-  [[nodiscard]] std::size_t size() const { return by_base_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Drops every entry (checkpoint restore rebuilds the index wholesale).
   void clear() {
-    by_base_.clear();
-    last_ = nullptr;
+    table_.clear();
+    size_ = 0;
   }
 
-  /// Visits every chunk in ascending base-address order (deterministic —
-  /// the backing map is ordered), for checkpoint capture.
+  /// Visits every chunk in ascending base-address order (deterministic:
+  /// the table is slab-relative), for checkpoint capture.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [base, chunk] : by_base_) fn(chunk);
+    const ChunkHeader* prev = nullptr;
+    for (ChunkHeader* c : table_) {
+      if (c != nullptr && c != prev) fn(c);
+      prev = c;
+    }
   }
 
  private:
-  // dmm-lint: allow(ptr-order): addresses are slab-relative, so the order is deterministic
-  std::map<const std::byte*, ChunkHeader*> by_base_;
-  mutable ChunkHeader* last_ = nullptr;
+  [[nodiscard]] static unsigned granule_shift(std::size_t page_size) {
+    const std::size_t granule = std::max<std::size_t>(page_size, 16);
+    return static_cast<unsigned>(std::countr_zero(granule));
+  }
+
+  [[nodiscard]] std::size_t granule_of(const std::byte* p) const {
+    return static_cast<std::size_t>(p - arena_->slab_base()) >> shift_;
+  }
+
+  const sysmem::SystemArena* arena_;
+  unsigned shift_;
+  std::vector<ChunkHeader*> table_;  ///< granule -> covering chunk
+  std::size_t size_ = 0;
 };
 
 }  // namespace dmm::alloc

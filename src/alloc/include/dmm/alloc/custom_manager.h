@@ -160,7 +160,7 @@ class CustomManager : public Allocator, private PoolHost {
   std::string name_;
   bool strict_;
 
-  ChunkIndex chunk_index_;
+  ChunkIndex chunk_index_{*arena_};
   std::vector<PoolEntry> pools_;
   /// Array routing (B2) for per-class division: class index -> pools_ slot.
   std::vector<int> class_slot_;

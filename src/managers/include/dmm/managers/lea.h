@@ -70,7 +70,7 @@ class LeaAllocator : public alloc::Allocator {
   std::size_t chunk_bytes_;
   std::size_t mmap_threshold_;
   alloc::BlockLayout layout_;
-  alloc::ChunkIndex chunk_index_;
+  alloc::ChunkIndex chunk_index_{*arena_};
   std::array<std::unique_ptr<alloc::FreeIndex>, kSmallBins> small_bins_;
   std::unique_ptr<alloc::FreeIndex> large_bin_;
   alloc::ChunkHeader* chunks_ = nullptr;

@@ -68,7 +68,7 @@ class RegionAllocator : public alloc::Allocator {
   std::size_t region_chunk_bytes_;
   std::unordered_map<std::size_t, std::size_t> region_slot_;
   std::vector<std::unique_ptr<Region>> regions_;
-  alloc::ChunkIndex chunk_index_;
+  alloc::ChunkIndex chunk_index_{*arena_};
   /// chunk -> region slot (regions are per size; blocks carry no tags).
   std::unordered_map<const alloc::ChunkHeader*, std::size_t> chunk_region_;
 };

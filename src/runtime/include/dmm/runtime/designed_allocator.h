@@ -1,11 +1,10 @@
 #ifndef DMM_RUNTIME_DESIGNED_ALLOCATOR_H
 #define DMM_RUNTIME_DESIGNED_ALLOCATOR_H
 
-#include <array>
 #include <atomic>
 #include <cstddef>
-#include <mutex>
-#include <unordered_map>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "dmm/alloc/config.h"
@@ -25,10 +24,14 @@ namespace dmm::runtime {
 // traffic needs.  DesignedAllocator wraps one core instance with the three
 // things deployment adds and design must never see:
 //
-//   * concurrency  — the core runs under one lock; per-thread caches of
-//     freed blocks absorb the fast path so the designed pool layout stays
-//     exactly as the offline search scored it while concurrent alloc/free
-//     is safe.  Caches are bounded (bytes + per-bin entries) and recycle a
+//   * concurrency  — the core runs under one short spin lock; per-thread
+//     caches of freed blocks absorb the fast path so the designed pool
+//     layout stays exactly as the offline search scored it while
+//     concurrent alloc/free is safe.  Each block's state (live or cached),
+//     capacity and requested size sit in one atomic word of a table keyed
+//     by the block's offset in the arena slab, so a cache hit, a cached
+//     free, realloc in place and usable_size take no lock and allocate
+//     nothing.  Caches are bounded (bytes + per-bin entries) and recycle a
 //     block only for requests its capacity is known to satisfy, so cache
 //     hits never widen a block beyond what the core already granted.
 //   * failure policy — the core reports exhaustion as nullptr; the front
@@ -109,6 +112,10 @@ class DesignedAllocator {
   /// needing a full arena.
   void inject_arena_exhaustion(std::uint64_t failures);
 
+  /// Thread-cache shells the calling thread holds, including ones left by
+  /// destroyed allocators that it has not yet reclaimed (tests).
+  [[nodiscard]] static std::size_t thread_cache_shells();
+
   [[nodiscard]] const alloc::DmmConfig& config() const {
     return core_.config();
   }
@@ -117,20 +124,64 @@ class DesignedAllocator {
   struct ThreadCache;  // defined in designed_allocator.cpp
   friend struct ThreadCacheRegistry;
 
-  /// Per-pointer bookkeeping: block capacity (core grant) and the live
-  /// requested size, or kCachedSentinel while the block sits in a thread
-  /// cache.  Sharded to keep cross-thread frees from serialising.
-  struct BlockInfo {
-    std::size_t capacity = 0;
-    std::size_t requested = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<const void*, BlockInfo> map;
-  };
-  static constexpr std::size_t kShardCount = 16;
+  /// Serialises the policy core and its arena.  A critical section is one
+  /// core call (a few hundred ns), so waiters spin briefly and then yield
+  /// instead of sleeping in the kernel the way a contended mutex does.
+  class CoreLock {
+   public:
+    void lock() {
+      unsigned spins = 0;
+      while (held_.exchange(true, std::memory_order_acquire)) {
+        while (held_.load(std::memory_order_relaxed)) {
+          if (spins < kSpinsBeforeYield) {
+            ++spins;
+            pause();
+          } else {
+            std::this_thread::yield();
+          }
+        }
+      }
+    }
+    void unlock() { held_.store(false, std::memory_order_release); }
 
-  [[nodiscard]] Shard& shard_for(const void* p) const;
+   private:
+    static constexpr unsigned kSpinsBeforeYield = 128;
+    static void pause() {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#elif defined(__aarch64__)
+      asm volatile("yield");
+#endif
+    }
+    std::atomic<bool> held_{false};
+  };
+
+  /// One atomic word per 8-byte granule of the arena slab, describing the
+  /// block whose payload starts there: live or cached, its capacity (the
+  /// core's grant) and its requested size; zero for every other address.
+  /// The table is reserved for the whole slab but pages commit on first
+  /// write, so its resident size follows the slab extent blocks reach.
+  class BlockTable {
+   public:
+    BlockTable() = default;
+    ~BlockTable();
+    BlockTable(const BlockTable&) = delete;
+    BlockTable& operator=(const BlockTable&) = delete;
+
+    /// Reserves the table and records the slab base, once the arena has
+    /// mapped its slab; later calls do nothing.  Called under the core
+    /// lock.
+    void attach(const std::byte* slab_base);
+    /// The word of the block whose payload is exactly @p p, or nullptr for
+    /// a pointer outside the slab or off the 8-byte payload grid.  Words
+    /// are only ever accessed through std::atomic_ref.
+    [[nodiscard]] std::uint64_t* slot(const void* p) const;
+
+   private:
+    std::uint64_t* words_ = nullptr;
+    std::atomic<const std::byte*> base_{nullptr};
+  };
+
   [[nodiscard]] ThreadCache* this_thread_cache();
 
   [[nodiscard]] void* slow_malloc(std::size_t request, ThreadCache* cache);
@@ -142,21 +193,23 @@ class DesignedAllocator {
   [[nodiscard]] bool cacheable(std::size_t capacity) const;
   void cache_push(ThreadCache& cache, void* ptr, std::size_t capacity);
   [[nodiscard]] void* cache_pop(ThreadCache& cache, std::size_t request);
-  /// Empties @p cache into the core (shard entries erased, blocks freed).
+  /// Empties @p cache into the core under one core-lock acquisition.
   void flush_cache(ThreadCache& cache);
-  void release_to_core(const std::vector<void*>& ptrs);
+  /// Hands the @p count oldest entries of @p bin back to the core; the
+  /// caller holds core_mu_.
+  void release_oldest(ThreadCache& cache, std::size_t bin, std::size_t count);
 
   RuntimeOptions opts_;
   sysmem::SystemArena arena_;
   /// Serialises every core/arena touch; the arena's stats are read under
   /// it too (telemetry()).
-  mutable std::mutex core_mu_;
+  mutable CoreLock core_mu_;
   alloc::CustomManager core_;
   /// Blocks at or above the designed big-request threshold bypass the
   /// thread caches: the core routes them to dedicated chunks that should
   /// flow back to the arena, not sit in a cache.
   std::size_t cache_block_limit_;
-  mutable std::array<Shard, kShardCount> shards_;
+  BlockTable blocks_;
   RuntimeTelemetry telemetry_;
   /// This allocator's live thread caches; guarded by the process-wide
   /// cache registry mutex (see designed_allocator.cpp).

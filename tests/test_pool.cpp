@@ -1,6 +1,7 @@
 // Direct Pool-level tests: carving, splitting, coalescing (immediate and
 // deferred), wilderness retreat, empty-chunk release — through a fake
-// PoolHost so every chunk interaction is visible.
+// PoolHost so every chunk interaction is visible.  Also the ChunkIndex
+// page table the hosts resolve blocks through.
 
 #include "dmm/alloc/pool.h"
 
@@ -58,7 +59,7 @@ class FakeHost : public PoolHost {
  private:
   std::size_t chunk_bytes_;
   sysmem::SystemArena arena_;
-  ChunkIndex index_;
+  ChunkIndex index_{arena_};
 };
 
 DmmConfig variable_cfg() {
@@ -237,6 +238,46 @@ TEST(Pool, GrowReserveProvisionsWithoutAllocating) {
   std::byte* b = pool.allocate_block(1024);
   EXPECT_EQ(host.grows, 1) << "the reserve serves the allocation";
   pool.free_block(b, 1024, host.pool_find_chunk(b));
+}
+
+TEST(ChunkIndex, ResolvesEveryByteOfAChunkAndVisitsInAddressOrder) {
+  // A page below the 16-byte carve grain: a chunk's last granule then
+  // reaches past its end.
+  sysmem::SystemArena arena(0, 8);
+  ChunkIndex index(arena);
+  int outside = 0;
+  EXPECT_EQ(index.find(&outside), nullptr) << "no slab mapped yet";
+  std::vector<ChunkHeader*> chunks;
+  for (const std::size_t size : {120, 64, 4096}) {
+    std::size_t granted = 0;
+    std::byte* base = arena.request(size, &granted);
+    ASSERT_NE(base, nullptr);
+    auto* c = reinterpret_cast<ChunkHeader*>(base);
+    c->init(granted, nullptr);
+    chunks.push_back(c);
+  }
+  // Indexed out of address order.
+  for (const std::size_t i : {2, 0, 1}) index.add(chunks[i]);
+  EXPECT_EQ(index.size(), 3u);
+  for (ChunkHeader* c : chunks) {
+    EXPECT_EQ(index.find(c->base()), c);
+    EXPECT_EQ(index.find(c->end() - 1), c);
+  }
+  EXPECT_EQ(index.find(chunks[0]->end()), nullptr) << "grain padding";
+  EXPECT_EQ(index.find(chunks[2]->end()), nullptr) << "past the last chunk";
+  EXPECT_EQ(index.find(&outside), nullptr);
+  std::vector<ChunkHeader*> visited;
+  index.for_each([&](ChunkHeader* c) { visited.push_back(c); });
+  EXPECT_EQ(visited, chunks) << "ascending base order";
+
+  index.remove(chunks[1]);
+  EXPECT_EQ(index.find(chunks[1]->base()), nullptr);
+  EXPECT_EQ(index.find(chunks[0]->base()), chunks[0]);
+  EXPECT_EQ(index.size(), 2u);
+  index.clear();
+  EXPECT_EQ(index.find(chunks[2]->base()), nullptr);
+  EXPECT_EQ(index.size(), 0u);
+  for (ChunkHeader* c : chunks) arena.release(c->base());
 }
 
 }  // namespace

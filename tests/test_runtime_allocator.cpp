@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +49,21 @@ TEST(DesignedAllocator, UsableSizeIsZeroForForeignPointers) {
   int local = 0;
   EXPECT_EQ(a.usable_size(&local), 0u);
   EXPECT_EQ(a.usable_size(nullptr), 0u);
+}
+
+TEST(DesignedAllocator, UsableSizeIsZeroForCachedAndInteriorPointers) {
+  DesignedAllocator a(alloc::drr_paper_config());
+  auto* p = static_cast<std::byte*>(a.malloc(128));
+  ASSERT_NE(p, nullptr);
+  EXPECT_GE(a.usable_size(p), 128u);
+  EXPECT_EQ(a.usable_size(p + 16), 0u) << "interior pointer";
+  EXPECT_EQ(a.usable_size(p + 3), 0u) << "misaligned pointer";
+  a.free(p);  // parks the block in the thread cache
+  EXPECT_EQ(a.usable_size(p), 0u) << "a cached block is not live";
+  void* q = a.malloc(128);
+  ASSERT_EQ(q, p);
+  EXPECT_GE(a.usable_size(q), 128u);
+  a.free(q);
 }
 
 TEST(DesignedAllocator, ReallocGrowsPreservingContents) {
@@ -298,6 +315,195 @@ TEST(DesignedAllocator, ConcurrentIntegrityStress) {
   const TelemetrySnapshot snap = a.telemetry();
   EXPECT_EQ(snap.alloc_count, snap.free_count) << "no allocation lost";
   EXPECT_EQ(snap.bytes_live, 0u);
+}
+
+TEST(DesignedAllocator, CrossThreadHandoffStress) {
+  // Every thread hands a share of its blocks to the next one, which checks
+  // the fill and frees them into its own cache; its later mallocs then pop
+  // blocks other threads allocated, and realloc moves or resizes blocks in
+  // between.  A lost update in the block table or a cache serving a block
+  // twice breaks some fill pattern.
+  DesignedAllocator a(alloc::drr_paper_config());
+  constexpr unsigned kThreads = 4;
+  constexpr int kSteps = 6000;
+  struct Block {
+    unsigned char* ptr;
+    std::size_t size;
+    unsigned char tag;
+  };
+  struct Inbox {
+    std::mutex mu;
+    std::vector<Block> blocks;
+  };
+  std::vector<Inbox> inboxes(kThreads);
+  const auto check = [](const Block& b) {
+    for (std::size_t i = 0; i < b.size; ++i) {
+      ASSERT_EQ(b.ptr[i], b.tag) << "corrupted block";
+    }
+  };
+  std::vector<std::thread> workers;
+  for (unsigned tid = 0; tid < kThreads; ++tid) {
+    workers.emplace_back([&, tid] {
+      const auto tag = static_cast<unsigned char>(0x60 + tid);
+      std::vector<Block> live;
+      unsigned rng = 31 * (tid + 7);
+      const auto drain_inbox = [&] {
+        std::vector<Block> received;
+        {
+          const std::lock_guard<std::mutex> lock(inboxes[tid].mu);
+          received.swap(inboxes[tid].blocks);
+        }
+        for (const Block& b : received) {
+          check(b);
+          a.free(b.ptr);
+        }
+      };
+      for (int step = 0; step < kSteps; ++step) {
+        rng = rng * 1664525u + 1013904223u;
+        const unsigned action = (rng >> 8) % 10;
+        if (live.empty() || action < 4) {
+          const std::size_t n = 1 + (rng >> 12) % 600;
+          auto* p = static_cast<unsigned char*>(a.malloc(n));
+          ASSERT_NE(p, nullptr);
+          std::memset(p, tag, n);
+          live.push_back({p, n, tag});
+        } else if (action < 6) {
+          const std::size_t at = (rng >> 12) % live.size();
+          Inbox& next = inboxes[(tid + 1) % kThreads];
+          {
+            const std::lock_guard<std::mutex> lock(next.mu);
+            next.blocks.push_back(live[at]);
+          }
+          live[at] = live.back();
+          live.pop_back();
+        } else if (action < 8) {
+          const std::size_t at = (rng >> 12) % live.size();
+          check(live[at]);
+          a.free(live[at].ptr);
+          live[at] = live.back();
+          live.pop_back();
+        } else {
+          Block& b = live[(rng >> 12) % live.size()];
+          check(b);
+          const std::size_t n = 1 + (rng >> 4) % 1200;
+          auto* p = static_cast<unsigned char*>(a.realloc(b.ptr, n));
+          ASSERT_NE(p, nullptr);
+          for (std::size_t i = 0; i < std::min(n, b.size); ++i) {
+            ASSERT_EQ(p[i], tag) << "realloc lost contents";
+          }
+          std::memset(p, tag, n);
+          b = {p, n, tag};
+        }
+        if (step % 64 == 0) drain_inbox();
+      }
+      for (const Block& b : live) {
+        check(b);
+        a.free(b.ptr);
+      }
+      drain_inbox();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  // Blocks handed over after their receiver's last drain.
+  for (Inbox& inbox : inboxes) {
+    for (const Block& b : inbox.blocks) {
+      check(b);
+      a.free(b.ptr);
+    }
+  }
+  const TelemetrySnapshot snap = a.telemetry();
+  EXPECT_EQ(snap.alloc_count, snap.free_count) << "no allocation lost";
+  EXPECT_EQ(snap.bytes_live, 0u);
+  EXPECT_GT(snap.cache_hits, 0u);
+}
+
+TEST(DesignedAllocator, DestroyedAllocatorsLeaveNoCacheShellsBehind) {
+  // A thread that outlives many allocators must not keep one cache shell
+  // per destroyed allocator: it reclaims an orphaned shell the next time
+  // it looks up a cache.
+  std::size_t most_shells = 0;
+  std::thread t([&most_shells] {
+    for (int i = 0; i < 1000; ++i) {
+      DesignedAllocator a(alloc::drr_paper_config());
+      void* p = a.malloc(64);
+      ASSERT_NE(p, nullptr);
+      a.free(p);
+      const std::size_t shells = DesignedAllocator::thread_cache_shells();
+      most_shells = std::max(most_shells, shells);
+    }
+  });
+  t.join();
+  EXPECT_EQ(most_shells, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Tripwires: frees the front cannot have handed out abort with the
+// corruption message instead of corrupting the core.
+// ---------------------------------------------------------------------------
+
+TEST(DesignedAllocatorDeathTest, InteriorPointerFreeAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());
+  auto* p = static_cast<std::byte*>(a.malloc(256));
+  ASSERT_NE(p, nullptr);
+  EXPECT_DEATH({ a.free(p + 64); }, "wild or double free");
+  a.free(p);
+}
+
+TEST(DesignedAllocatorDeathTest, MisalignedPointerFreeAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());
+  auto* p = static_cast<std::byte*>(a.malloc(256));
+  ASSERT_NE(p, nullptr);
+  EXPECT_DEATH({ a.free(p + 3); }, "wild or double free");
+  a.free(p);
+}
+
+TEST(DesignedAllocatorDeathTest, PointerOutsideTheSlabAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());
+  static int outside = 0;
+  // Before the arena has mapped its slab, and after.
+  EXPECT_DEATH({ a.free(&outside); }, "wild or double free");
+  void* p = a.malloc(64);
+  ASSERT_NE(p, nullptr);
+  EXPECT_DEATH({ a.free(&outside); }, "wild or double free");
+  a.free(p);
+}
+
+TEST(DesignedAllocatorDeathTest, PointerIntoAReleasedChunkAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());
+  // A big request gets a dedicated chunk; grow-and-shrink hands the chunk
+  // back to the arena on free.
+  auto* p = static_cast<std::byte*>(a.malloc(1 << 20));
+  ASSERT_NE(p, nullptr);
+  const std::size_t held = a.telemetry().arena.current_footprint;
+  a.free(p);
+  ASSERT_LT(a.telemetry().arena.current_footprint, held)
+      << "the chunk went back to the arena";
+  EXPECT_DEATH({ a.free(p); }, "wild or double free");
+  EXPECT_DEATH({ a.free(p + 4096); }, "wild or double free");
+}
+
+TEST(DesignedAllocatorDeathTest, DoubleFreeOfALiveSizedBlockAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());  // caches on
+  // Too big to cache: the first free returns it to the core at once.
+  void* p = a.malloc(16 * 1024);
+  ASSERT_NE(p, nullptr);
+  a.free(p);
+  EXPECT_DEATH({ a.free(p); }, "wild or double free");
+}
+
+TEST(DesignedAllocatorDeathTest, ReallocOfACachedBlockAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  DesignedAllocator a(alloc::drr_paper_config());
+  void* p = a.malloc(128);
+  ASSERT_NE(p, nullptr);
+  a.free(p);  // cached
+  EXPECT_DEATH({ (void)a.realloc(p, 64); },
+               "realloc of a pointer this allocator does not own");
 }
 
 }  // namespace
