@@ -8,7 +8,8 @@
 //  * every strategy is bit-identical across 1/2/4/8 threads and across
 //    per-search / shared / persisted cache scopes (only the replay/hit
 //    split may shift),
-//  * AnnealingSearch is deterministic for a fixed seed,
+//  * AnnealingSearch is deterministic for a fixed seed, and golden pins fix
+//    what seeds 1/5/17 (and a portfolio) land on, charge, and when,
 //  * random_search's opt-in canonical prune skips duplicate draws without
 //    charging them,
 //  * the B2/B3 single-pool alias audit: B3 collapses in canonical() where
@@ -26,6 +27,7 @@
 
 #include "dmm/core/explorer.h"
 #include "dmm/core/search.h"
+#include "dmm/workloads/workload.h"
 
 namespace dmm::core {
 namespace {
@@ -328,6 +330,97 @@ TEST_F(SearchStrategies, AnnealingDeterministicForFixedSeed) {
   EXPECT_TRUE(ra.feasible);
   EXPECT_EQ(ra.simulations + ra.cache_hits, 80u)
       << "the budget is metered in evaluations";
+}
+
+// Golden annealing pins: what each seeded trajectory lands on, what it
+// charged, and when it found its best.  Every field here must survive any
+// change that only makes annealing cheaper (replay cutoffs, cache tiers):
+// only the simulations/cache_hits *split* and replayed_events may move.
+struct AnnealPin {
+  const char* signature;
+  std::size_t peak;
+  double avg;
+  std::uint64_t work;
+  std::uint64_t evals_to_best;
+  std::uint64_t canonical_skips;
+  std::uint64_t evaluations;  ///< simulations + cache_hits
+};
+
+void expect_pin(const ExplorationResult& r, const AnnealPin& pin,
+                const std::string& what) {
+  EXPECT_EQ(alloc::signature(r.best), pin.signature) << what;
+  EXPECT_EQ(r.best_sim.peak_footprint, pin.peak) << what;
+  EXPECT_DOUBLE_EQ(r.best_sim.avg_footprint, pin.avg) << what;
+  EXPECT_EQ(r.work_steps, pin.work) << what;
+  EXPECT_EQ(r.evals_to_best, pin.evals_to_best) << what;
+  EXPECT_EQ(r.canonical_skips, pin.canonical_skips) << what;
+  EXPECT_EQ(r.simulations + r.cache_hits, pin.evaluations) << what;
+  EXPECT_TRUE(r.feasible) << what;
+}
+
+AllocTrace drr_trace(std::size_t max_events) {
+  AllocTrace t = workloads::record_trace(workloads::case_study("drr"), 1);
+  if (t.size() > max_events) {
+    t.events().resize(max_events);
+    t.close_leaks();
+  }
+  return t;
+}
+
+TEST_F(SearchStrategies, GoldenAnnealPins) {
+  // Default options (400 evaluations) per seed, on this fixture's trace and
+  // on the DRR case study's Table 1 profile capped at 4,000 events.
+  const AllocTrace drr = drr_trace(4000);
+  const AnnealPin fixture_pins[] = {
+      {"A1=size-bst A2=many A3=header+footer A4=size+status "
+       "A5=split+coalesce B1=single-pool B2=linked-list B3=one "
+       "B4=grow+shrink C1=exact-fit C2=size-ordered D1=not-fixed D2=always "
+       "E1=not-fixed E2=always",
+       2457600u, 1413880.7079377137, 46606u, 283u, 0u, 400u},
+      {"A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
+       "B1=single-pool B2=array B3=one B4=grow+shrink C1=best-fit "
+       "C2=addr-ordered D1=not-fixed D2=always E1=not-fixed E2=always",
+       2441216u, 1402213.4082795291, 283535u, 399u, 0u, 400u},
+      {"A1=size-bst A2=many A3=header+footer A4=size+status "
+       "A5=split+coalesce B1=single-pool B2=array B3=one B4=grow+shrink "
+       "C1=best-fit C2=size-ordered D1=not-fixed D2=always E1=not-fixed "
+       "E2=always",
+       2457600u, 1413880.7079377137, 43973u, 392u, 0u, 400u},
+  };
+  const AnnealPin drr_pins[] = {
+      {"A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
+       "B1=single-pool B2=array B3=one B4=grow+shrink C1=exact-fit C2=lifo "
+       "D1=not-fixed D2=always E1=not-fixed E2=always",
+       131072u, 104310.94455066921, 19332u, 1u, 0u, 400u},
+      {"A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
+       "B1=single-pool B2=array B3=one B4=grow+shrink C1=exact-fit C2=lifo "
+       "D1=not-fixed D2=always E1=not-fixed E2=always",
+       131072u, 104310.94455066921, 19332u, 1u, 0u, 400u},
+      {"A1=dll A2=many A3=header+footer A4=size+status A5=split+coalesce "
+       "B1=single-pool B2=array B3=one B4=grow+shrink C1=first-fit "
+       "C2=addr-ordered D1=not-fixed D2=always E1=not-fixed E2=always",
+       131072u, 100340.25239005736, 38789u, 35u, 0u, 400u},
+  };
+  const unsigned seeds[] = {1u, 5u, 17u};
+  for (std::size_t i = 0; i < 3; ++i) {
+    AnnealingOptions opts;
+    opts.seed = seeds[i];
+    const std::string what = "anneal:" + std::to_string(seeds[i]);
+    AnnealingSearch fixture_sa(opts);
+    expect_pin(Explorer(trace_).run(fixture_sa), fixture_pins[i],
+               what + " fixture");
+    AnnealingSearch drr_sa(opts);
+    expect_pin(Explorer(drr).run(drr_sa), drr_pins[i], what + " drr");
+  }
+  ExplorerOptions opts;
+  opts.search = *parse_search_spec("portfolio:greedy+beam:4+anneal");
+  expect_pin(Explorer(trace_, opts).run(),
+             {"A1=size-bst A2=many A3=header+footer A4=size+status "
+              "A5=split+coalesce B1=single-pool B2=linked-list B3=one "
+              "B4=grow+shrink C1=exact-fit C2=size-ordered D1=not-fixed "
+              "D2=always E1=not-fixed E2=always",
+              2457600u, 1413880.7079377137, 46606u, 439u, 0u, 556u},
+             "portfolio:greedy+beam:4+anneal");
 }
 
 TEST_F(SearchStrategies, AnnealingFindsCompetitiveDesign) {
