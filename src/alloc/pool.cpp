@@ -281,10 +281,16 @@ void Pool::release_chunk_if_empty(ChunkHeader* chunk) {
   // read (which notes kShrink) happens only once the chunk is empty.
   if (chunk->live_blocks != 0) return;
   if (!knobs_.releases_empty_chunks()) return;
-  // Drain the chunk's free blocks from the index, then hand it back.
-  walk_chunk(chunk, [&](std::byte* b, std::size_t, bool) {
-    index_.remove(b);
-  });
+  // Drain the chunk's free blocks (all of its blocks) from the index, then
+  // hand it back.  A plain walk: this runs on every empty-chunk release,
+  // too often for walk_chunk's indirect call per block.
+  std::byte* const end = chunk->wilderness();
+  for (std::byte* pos = chunk->data(); pos < end;) {
+    const std::size_t sz = block_size_of(pos);
+    if (sz == 0 || pos + sz > end) die("walk_chunk: corrupt block grid");
+    index_.remove(pos);
+    pos += sz;
+  }
   if (carve_chunk_ == chunk) carve_chunk_ = nullptr;
   if (chunk->prev != nullptr) chunk->prev->next = chunk->next;
   if (chunk->next != nullptr) chunk->next->prev = chunk->prev;

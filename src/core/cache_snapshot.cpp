@@ -77,6 +77,9 @@ double get_f64(const std::uint8_t* p) {
 
 // ---- record layout --------------------------------------------------------
 
+/// Entry-flags bit of a lower-bound (stopped-replay) entry.
+constexpr std::uint32_t kLowerBoundFlag = 1;
+
 void put_record(std::vector<std::uint8_t>& buf, std::uint64_t fingerprint,
                 const alloc::DmmConfig& canon,
                 const CandidateCache::Entry& entry) {
@@ -98,6 +101,7 @@ void put_record(std::vector<std::uint8_t>& buf, std::uint64_t fingerprint,
   put_f64(buf, entry.sim.wall_seconds);
   put_u64(buf, entry.sim.events);
   put_u64(buf, entry.work_steps);
+  put_u32(buf, entry.sim.stopped ? kLowerBoundFlag : 0);
 }
 
 struct ParsedRecord {
@@ -106,8 +110,9 @@ struct ParsedRecord {
   CandidateCache::Entry entry{};
 };
 
-/// Parses one fixed-width record; false when a leaf index is out of range
-/// or the stored canonical hash disagrees with the reconstructed vector.
+/// Parses one fixed-width record; false when a leaf index is out of range,
+/// an unknown entry flag is set, or the stored canonical hash disagrees
+/// with the reconstructed vector.
 bool get_record(const std::uint8_t* p, ParsedRecord* out) {
   out->fingerprint = get_u64(p);
   p += 8;
@@ -148,6 +153,10 @@ bool get_record(const std::uint8_t* p, ParsedRecord* out) {
   out->entry.sim.events = get_u64(p);
   p += 8;
   out->entry.work_steps = get_u64(p);
+  p += 8;
+  const std::uint32_t flags = get_u32(p);
+  if ((flags & ~kLowerBoundFlag) != 0) return false;
+  out->entry.sim.stopped = flags == kLowerBoundFlag;
   return true;
 }
 
@@ -249,7 +258,7 @@ SnapshotLoadResult SharedScoreCache::load(const std::string& path) {
   }
   const std::uint64_t count = get_u64(buf.data() + 12);
   // Validate by division, not by multiplying count out: a crafted count of
-  // ~(size - 28) * 131^-1 mod 2^64 would wrap `count * record_bytes` back
+  // ~(size - 28) * 135^-1 mod 2^64 would wrap `count * record_bytes` back
   // to the real file size and then explode the records allocation below.
   const std::size_t body =
       buf.size() - kSnapshotHeaderBytes - kSnapshotChecksumBytes;
@@ -284,9 +293,10 @@ SnapshotLoadResult SharedScoreCache::load(const std::string& path) {
     const Key key{rec.fingerprint, rec.canon};
     Shard& shard = shard_for(key);
     const std::lock_guard<std::mutex> lock(shard.m);
-    // Existing entries win: a key already cached in this process carries a
-    // bit-identical score (replays are deterministic) and keeps its
-    // in-process provenance for the hit accounting.  Import goes through
+    // Existing exact entries win: a key already cached in this process
+    // carries a bit-identical score (replays are deterministic) and keeps
+    // its in-process provenance for the hit accounting.  A lower-bound
+    // entry takes a stronger imported score by the usual upgrade rule.  Import goes through
     // the bounded insert path, so loading a snapshot larger than the
     // capacity bound keeps the most recently imported records (record
     // order) and counts the displaced ones as evictions.

@@ -14,23 +14,25 @@ namespace dmm::core {
 const ScoreCache::Entry* ScoreCache::lookup(
     const alloc::DmmConfig& cfg) const {
   const auto it = map_.find(alloc::canonical(cfg));
-  return it == map_.end() ? nullptr : &it->second;
+  return it == map_.end() || !serves(it->second, 0) ? nullptr : &it->second;
 }
 
-void ScoreCache::insert(const alloc::DmmConfig& cfg, Entry entry) {
-  map_.insert_or_assign(alloc::canonical(cfg), std::move(entry));
+void ScoreCache::insert(const alloc::DmmConfig& cfg, const Entry& entry) {
+  insert_canonical(alloc::canonical(cfg), entry);
 }
 
-bool ScoreCache::lookup_canonical(const alloc::DmmConfig& canon, Entry* out) {
+bool ScoreCache::lookup_canonical(const alloc::DmmConfig& canon, Entry* out,
+                                  std::size_t peak_cutoff) {
   const auto it = map_.find(canon);
-  if (it == map_.end()) return false;
+  if (it == map_.end() || !serves(it->second, peak_cutoff)) return false;
   *out = it->second;
   return true;
 }
 
 void ScoreCache::insert_canonical(const alloc::DmmConfig& canon,
                                   const Entry& entry) {
-  map_.insert_or_assign(canon, entry);
+  const auto [it, inserted] = map_.emplace(canon, entry);
+  if (!inserted && upgrades(entry, it->second)) it->second = entry;
 }
 
 // ---------------------------------------------------------------------------
@@ -83,12 +85,16 @@ SharedScoreCache::Session SharedScoreCache::begin_search(
 }
 
 bool SharedScoreCache::Session::lookup_canonical(const alloc::DmmConfig& canon,
-                                                 Entry* out) {
+                                                 Entry* out,
+                                                 std::size_t peak_cutoff) {
   const Key key{trace_fingerprint_, canon};
   Shard& shard = owner_->shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.m);
   const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
+  if (it == shard.map.end() ||
+      !CandidateCache::serves(it->second.entry, peak_cutoff)) {
+    return false;
+  }
   *out = it->second.entry;
   if (shard.cap > 0) {
     // Touch: move to the recent end of the shard's LRU list.
@@ -120,11 +126,18 @@ void SharedScoreCache::Session::insert_canonical(const alloc::DmmConfig& canon,
 bool SharedScoreCache::insert_locked(Shard& shard, const Key& key,
                                      const Entry& entry,
                                      std::uint64_t search_id) {
-  // First writer wins: replays are deterministic, so a concurrent loser
-  // holds a bit-identical entry and the stored search_id keeps naming the
-  // session whose replay the map retains.
+  // An exact entry is final: replays are deterministic, so a concurrent
+  // loser holds a bit-identical score.  A lower-bound entry yields to a
+  // stronger one, and search_id moves with it to keep naming the session
+  // whose replay the map retains.
   const auto [it, inserted] = shard.map.emplace(key, Stored{entry, search_id});
-  if (!inserted) return false;
+  if (!inserted) {
+    if (CandidateCache::upgrades(entry, it->second.entry)) {
+      it->second.entry = entry;
+      it->second.search_id = search_id;
+    }
+    return false;
+  }
   if (shard.cap > 0) {
     shard.lru.push_back(key);
     it->second.lru_it = std::prev(shard.lru.end());
@@ -253,7 +266,9 @@ EvalOutcome score_candidate(const TraceSource& trace, const EvalJob& job) {
   // candidate and only footprint/work are scored.
   alloc::PolicyCore mgr(arena, job.cfg, "candidate",
                         /*strict_accounting=*/false);
-  out.sim = simulate(trace, mgr);
+  SimReplayOptions opts;
+  opts.peak_cutoff = job.peak_cutoff;
+  out.sim = simulate(trace, mgr, opts);
   out.work_steps = mgr.work_steps();
   out.replayed_events = out.sim.events;
   return out;
@@ -297,7 +312,7 @@ void EvalEngine::stream_submit(const EvalJob& job) {
     // pre-engine Explorer), so no canonicalization happens at all.
     slot->canon = alloc::canonical(job.cfg);
     CandidateCache::Entry hit;
-    if (stream_cache_->lookup_canonical(slot->canon, &hit)) {
+    if (stream_cache_->lookup_canonical(slot->canon, &hit, job.peak_cutoff)) {
       slot->kind = StreamSlot::Kind::kCached;
       slot->out.sim = hit.sim;
       slot->out.work_steps = hit.work_steps;
@@ -308,9 +323,10 @@ void EvalEngine::stream_submit(const EvalJob& job) {
     }
     const auto [it, inserted] =
         pending_canon_.emplace(slot->canon, slots_.size());
-    if (!inserted) {
-      // Same canonical form already in flight: resolve from its owner at
-      // emission instead of replaying twice.
+    if (!inserted && slots_[it->second]->job.peak_cutoff == job.peak_cutoff) {
+      // Same canonical form already in flight with the same cutoff: resolve
+      // from its owner at emission instead of replaying twice.  (Another
+      // cutoff would need another answer, so that job replays too.)
       slot->kind = StreamSlot::Kind::kDup;
       slot->dup_of = it->second;
       slots_.push_back(std::move(slot));
@@ -376,7 +392,9 @@ void EvalEngine::configure_incremental(std::shared_ptr<CheckpointStore> store,
 }
 
 EvalOutcome EvalEngine::compute(const EvalJob& job) const {
-  if (checkpoints_ != nullptr) {
+  // A cutoff replay is cold: the checkpoint store resumes and captures
+  // whole replays only, and a stopped one would be neither.
+  if (checkpoints_ != nullptr && job.peak_cutoff == 0) {
     return score_candidate_incremental(*stream_trace_, job, *checkpoints_,
                                        stream_trace_fp_, verify_incremental_);
   }

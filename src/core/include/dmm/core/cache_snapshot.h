@@ -31,11 +31,15 @@ namespace dmm::core {
 //            8 B   sim.wall_seconds       |
 //            8 B   sim.events             |
 //            8 B   work_steps
+//            4 B   entry flags: bit 0 = lower bound (sim.stopped — a
+//                  replay stopped at a peak cutoff; see CandidateCache),
+//                  every other bit 0
 //   footer   8 B   FNV-1a checksum of every preceding byte
 //
 // A loader must treat the file as untrusted: truncation shows up as a size
 // that disagrees with the entry count, bit rot as a checksum mismatch, and
-// hand-edited records as an out-of-range leaf or a canonical-hash mismatch.
+// hand-edited records as an out-of-range leaf, an unknown entry flag, or a
+// canonical-hash mismatch.
 // Any of these rejects the whole file and the cache starts cold — a snapshot
 // is a pure accelerator, never a correctness input.
 // ---------------------------------------------------------------------------
@@ -44,11 +48,12 @@ inline constexpr std::uint8_t kSnapshotMagic[8] = {'D', 'M', 'M', 'S',
                                                    'C', 'O', 'R', 'E'};
 // Version history: 1 = initial format; 2 = canonical() widened (B3
 // collapses under non-per-class pool divisions), so v1 entries may be
-// keyed under a form the current code would never look up — reject them.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// keyed under a form the current code would never look up — reject them;
+// 3 = the entry-flags word (lower-bound entries from cutoff replays).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::size_t kSnapshotHeaderBytes = 8 + 4 + 8;
 inline constexpr std::size_t kSnapshotRecordBytes =
-    8 + 8 + 15 + (4 * 8 + 4) + (7 * 8) + 8;
+    8 + 8 + 15 + (4 * 8 + 4) + (7 * 8) + 8 + 4;
 inline constexpr std::size_t kSnapshotChecksumBytes = 8;
 
 /// FNV-1a over @p n bytes — the footer checksum.  Exposed so tests can

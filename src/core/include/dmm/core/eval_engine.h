@@ -22,9 +22,17 @@ namespace dmm::core {
 
 /// One candidate evaluation: a complete decision vector plus a caller tag
 /// (leaf index, odometer position, ...) for mapping the result back.
+///
+/// `peak_cutoff` (0 = none) is the caller's promise that any peak above it
+/// decides the outcome the same way (AnnealingSearch: certain rejection).
+/// The replay then stops once its running peak passes the cutoff and the
+/// outcome comes back with `sim.stopped` set and a lower-bound peak; a
+/// cache may answer such a job with a lower-bound entry already above the
+/// cutoff.  A cutoff job always replays cold, never from a checkpoint.
 struct EvalJob {
   alloc::DmmConfig cfg{};
   std::uint64_t tag = 0;
+  std::size_t peak_cutoff = 0;
 };
 
 /// What scoring one job produced.  `from_cache` marks evaluations served
@@ -51,6 +59,14 @@ struct EvalOutcome {
 /// re-canonicalize.  Calls arrive only from the coordinating thread of one
 /// search; thread-safety across *searches* is the implementation's concern
 /// (ScoreCache has none and needs none, SharedScoreCache stripes locks).
+///
+/// Entries come in two tiers.  An *exact* entry holds a whole replay's
+/// score and answers every lookup.  A *lower-bound* entry holds a replay
+/// stopped at a peak cutoff (`sim.stopped`): it answers only a lookup whose
+/// own cutoff its peak already exceeds, never one that needs the exact
+/// score.  Inserting over a lower-bound entry upgrades it when the new
+/// entry is exact or stopped at a higher peak; exact entries never change
+/// (replays are deterministic).
 class CandidateCache {
  public:
   struct Entry {
@@ -60,11 +76,31 @@ class CandidateCache {
 
   virtual ~CandidateCache() = default;
 
-  /// True (and *out filled) when @p canon has a memoized score.
+  /// True (and *out filled) when @p canon has a memoized score that
+  /// answers a job with @p peak_cutoff (see serves()).
   [[nodiscard]] virtual bool lookup_canonical(const alloc::DmmConfig& canon,
-                                              Entry* out) = 0;
+                                              Entry* out,
+                                              std::size_t peak_cutoff = 0) = 0;
+  /// Stores @p entry, or upgrades a lower-bound entry (see upgrades()).
   virtual void insert_canonical(const alloc::DmmConfig& canon,
                                 const Entry& entry) = 0;
+
+  /// True iff @p stored answers a job with @p peak_cutoff: always when it
+  /// is exact, and when it is a lower bound already above a non-zero
+  /// cutoff.
+  [[nodiscard]] static bool serves(const Entry& stored,
+                                   std::size_t peak_cutoff) {
+    return !stored.sim.stopped ||
+           (peak_cutoff != 0 && stored.sim.peak_footprint > peak_cutoff);
+  }
+  /// True iff @p incoming replaces @p stored: a lower-bound entry yields to
+  /// an exact one or to a replay that stopped at a higher peak.
+  [[nodiscard]] static bool upgrades(const Entry& incoming,
+                                     const Entry& stored) {
+    return stored.sim.stopped &&
+           (!incoming.sim.stopped ||
+            incoming.sim.peak_footprint > stored.sim.peak_footprint);
+  }
 };
 
 /// Per-search memoized scores — repaired completions collide often within
@@ -74,12 +110,13 @@ class ScoreCache final : public CandidateCache {
  public:
   using Entry = CandidateCache::Entry;
 
-  /// nullptr when the canonical form of @p cfg has not been scored yet.
+  /// nullptr when the canonical form of @p cfg has no exact score yet.
   [[nodiscard]] const Entry* lookup(const alloc::DmmConfig& cfg) const;
-  void insert(const alloc::DmmConfig& cfg, Entry entry);
+  void insert(const alloc::DmmConfig& cfg, const Entry& entry);
 
   [[nodiscard]] bool lookup_canonical(const alloc::DmmConfig& canon,
-                                      Entry* out) override;
+                                      Entry* out,
+                                      std::size_t peak_cutoff = 0) override;
   void insert_canonical(const alloc::DmmConfig& canon,
                         const Entry& entry) override;
 
@@ -104,8 +141,11 @@ class ScoreCache final : public CandidateCache {
 /// Entries remember which session paid for their replay; a hit served from
 /// another session's entry is a *cross-search* hit, which the session
 /// counts and ExplorationResult/MethodologyResult report.  Replays are
-/// deterministic, so concurrent duplicate inserts are benign: the first
-/// write wins and later ones carry identical values.
+/// deterministic, so concurrent duplicate inserts are benign: an exact
+/// entry is final (the first exact write wins and later ones carry
+/// identical values), and a lower-bound entry is replaced only by the
+/// CandidateCache::upgrades() rule — whichever order concurrent searches
+/// insert in, the entry ends at the strongest score any of them produced.
 ///
 /// The cache also persists across processes: save() snapshots every entry
 /// to a versioned binary file (see cache_snapshot.h) and load() imports
@@ -183,7 +223,8 @@ class SharedScoreCache {
   class Session final : public CandidateCache {
    public:
     [[nodiscard]] bool lookup_canonical(const alloc::DmmConfig& canon,
-                                        Entry* out) override;
+                                        Entry* out,
+                                        std::size_t peak_cutoff = 0) override;
     void insert_canonical(const alloc::DmmConfig& canon,
                           const Entry& entry) override;
 
@@ -265,9 +306,12 @@ class SharedScoreCache {
   [[nodiscard]] Shard& shard_for(const Key& key);
 
   /// Inserts under the shard lock, evicting the shard's least-recent entry
-  /// when the insert would exceed its bound.  First writer wins; returns
+  /// when the insert would exceed its bound; an existing key keeps its
+  /// entry unless CandidateCache::upgrades() says the new one replaces it
+  /// (provenance moves with the score, the recency slot stays).  Returns
   /// whether the key was newly inserted.  Shared by Session inserts and
-  /// snapshot import so both honor the bound identically.
+  /// snapshot import so both honor the bound and the upgrade rule
+  /// identically.
   bool insert_locked(Shard& shard, const Key& key, const Entry& entry,
                      std::uint64_t search_id);
 

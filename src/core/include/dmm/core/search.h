@@ -2,6 +2,7 @@
 #define DMM_CORE_SEARCH_H
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
@@ -321,6 +322,14 @@ class SearchContext {
                 EvalEngine& engine);
 
   [[nodiscard]] const ExplorerOptions& options() const { return opts_; }
+  /// True in family mode (every job scored on every member trace).
+  [[nodiscard]] bool family() const { return trace_ == nullptr; }
+  /// The incumbent's primary objective (candidate_objective): +inf while
+  /// no candidate was offered or the incumbent is infeasible.
+  [[nodiscard]] double incumbent_objective() const {
+    return tracker_.any ? tracker_.obj
+                        : std::numeric_limits<double>::infinity();
+  }
   /// Single-trace mode: the trace; family mode: the first member.
   [[nodiscard]] const TraceSource& trace() const {
     return trace_ != nullptr ? *trace_ : *family_[0].trace;
@@ -535,6 +544,17 @@ class RandomSearch final : public SearchStrategy {
 /// schedule; uphill moves are accepted iff u < exp(-delta/T) with u drawn
 /// from the seeded mt19937 (consumed only on uphill proposals), so a fixed
 /// seed fixes the whole trajectory on every platform.
+///
+/// Each proposal's replay carries a peak cutoff (anneal_peak_cutoff,
+/// EvalJob::peak_cutoff): everything that decides the move except its own
+/// peak — energy, temperature, the u it would draw (peeked from a copy of
+/// the rng), the incumbent — is known before the replay, and a peak only
+/// grows during one.  A replay that passes the cutoff stops there; the
+/// move is treated as the rejection it certainly is (u is still drawn, no
+/// offer is made), so trajectories, charges and evals_to_best are exactly
+/// those of whole replays and only the replay work shrinks.  Time-weighted
+/// objectives, family mode, and an infeasible state or incumbent replay
+/// exactly (cutoff 0).
 class AnnealingSearch final : public SearchStrategy {
  public:
   explicit AnnealingSearch(AnnealingOptions opts = {});
@@ -556,6 +576,23 @@ class AnnealingSearch final : public SearchStrategy {
   std::size_t since_cool_ = 0;
   std::uint64_t charged_ = 0;
 };
+
+/// AnnealingSearch's uphill test: a move raising the energy by @p delta > 0
+/// at temperature @p temp > 0 is accepted iff @p u < exp(-delta / temp),
+/// u uniform in [0, 1).
+[[nodiscard]] bool anneal_accepts_uphill(double delta, double temp, double u);
+
+/// The peak cutoff of one annealing proposal under a pure-footprint
+/// objective: the smallest peak P such that every peak above P is certain
+/// to be rejected from a state of energy @p energy at temperature @p temp
+/// (with @p u the uniform the uphill test would draw; unused at temp <= 0)
+/// and cannot displace an incumbent of objective @p incumbent under
+/// candidate_better's 1% tie band.  0 (replay exactly) when the state or
+/// the incumbent is infeasible or no such peak is representable.  The
+/// bound comes from the acceptance predicates themselves, not from their
+/// algebra: at P + 1 both reject, at P one of them does not.
+[[nodiscard]] std::size_t anneal_peak_cutoff(double energy, double temp,
+                                             double u, double incumbent);
 
 /// The high-impact subspace the exhaustive validator enumerates by
 /// default (also MethodologyOptions::validation_trees' default).

@@ -25,6 +25,12 @@ struct SimResult {
   std::uint64_t failed_allocs = 0;
   double wall_seconds = 0.0;        ///< replay wall time (manager work)
   std::uint64_t events = 0;
+  /// The replay stopped early because its running peak passed
+  /// SimReplayOptions::peak_cutoff.  The result then covers only the
+  /// `events` replayed so far: `peak_footprint` is a *lower bound* on the
+  /// full replay's peak (already above the cutoff), and every other field
+  /// describes the prefix, not the trace.
+  bool stopped = false;
 
   /// Footprint overhead factor over the application's own peak demand.
   [[nodiscard]] double overhead_factor() const {
@@ -98,6 +104,13 @@ struct SimReplayOptions {
   /// Installed as the thread's consult sink for the replay (prefix-
   /// invariance instrumentation; see alloc/consult.h).
   alloc::ConsultSink* consult = nullptr;
+
+  /// Stop the replay at the first event whose footprint exceeds this many
+  /// bytes (SimResult::stopped); 0 replays the whole trace.  The footprint
+  /// only matters once it raises the running peak, so the check runs on
+  /// those events alone.  A search that knows any peak above the cutoff
+  /// decides its outcome (AnnealingSearch) skips the rest of the replay.
+  std::size_t peak_cutoff = 0;
 };
 
 /// Replays @p trace through @p manager, tracking the arena footprint.
@@ -115,7 +128,9 @@ struct SimReplayOptions {
 ///
 /// With opts.resume, `SimResult.events` still reports the FULL trace event
 /// count (the result describes the whole logical replay); the caller knows
-/// how many events were actually replayed from the resume point.
+/// how many events were actually replayed from the resume point.  With
+/// opts.peak_cutoff a stopped replay reports the events it replayed, and
+/// still frees every live object before returning.
 SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
                    const SimReplayOptions& opts);
 

@@ -1,6 +1,10 @@
 #include "dmm/core/methodology.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "dmm/alloc/policy_core.h"
@@ -62,55 +66,90 @@ MethodologyResult design_manager(const AllocTrace& trace,
     persisted = explorer_options.shared_cache;
     (void)persisted->load(options.cache_file);
   }
-  // Guard the whole phase loop: a phase search that throws must still
-  // persist the replays the cache already absorbed — and an exception
-  // escaping main() never unwinds, so a destructor-based guard alone
-  // would lose them.  Save explicitly on both paths (the save is atomic
-  // and idempotent).
-  const auto save_cache = [&] {
-    if (persisted != nullptr) (void)persisted->save(options.cache_file);
+  if (explorer_options.cache && !explorer_options.cache_file.empty() &&
+      explorer_options.shared_cache == nullptr) {
+    // Per-Explorer persistence: one cache for every phase, so whichever
+    // phase saves last writes all of them.
+    explorer_options.shared_cache = std::make_shared<SharedScoreCache>();
+  }
+  const std::size_t n = sub_traces.size();
+  result.phase_configs.assign(n, options.explorer_options.defaults);
+  result.phase_results.resize(n);
+  if (options.validate) result.validation_results.resize(n);
+  std::vector<std::size_t> work;  // phases with allocations to design
+  for (std::size_t p = 0; p < n; ++p) {
+    if (!sub_traces[p].empty()) work.push_back(p);
+  }
+  // The phases search concurrently: up to num_threads at once, the
+  // runners split between them, each phase's results written to its own
+  // slots.  Phases have distinct trace fingerprints, so a shared cache
+  // never lets one phase's replays answer another's, and every result
+  // (accounting included) is the one a sequential run produces.
+  unsigned threads = explorer_options.num_threads;
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned lanes = static_cast<unsigned>(
+      std::max<std::size_t>(1, std::min<std::size_t>(threads, work.size())));
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  const auto lane = [&](unsigned runners) {
+    ExplorerOptions lane_options = explorer_options;
+    lane_options.num_threads = runners;
+    for (std::size_t k = next.fetch_add(1); k < work.size() && !failed;
+         k = next.fetch_add(1)) {
+      const std::size_t p = work[k];
+      try {
+        Explorer explorer(sub_traces[p], lane_options);
+        // The per-phase searcher is pluggable (explorer_options.search):
+        // greedy stays the default and the published flow; beam/anneal/...
+        // drop in through the same strategy seam.
+        const std::unique_ptr<SearchStrategy> strategy = make_strategy(
+            lane_options.search, options.order, options.validation_trees);
+        result.phase_results[p] = explorer.run(*strategy);
+        result.phase_configs[p] = result.phase_results[p].best;
+        if (options.validate) {
+          // Ground-truth pass over the high-impact subspace.  Runs after
+          // the walk, so the walk's outcome is byte-for-byte what it would
+          // be without validation; with a shared cache the two searches
+          // reuse each other's replays (reported as cross-search hits).
+          result.validation_results[p] = explorer.exhaustive(
+              options.validation_trees, options.validation_max_evals);
+        }
+      } catch (...) {
+        errors[p] = std::current_exception();
+        failed = true;
+      }
+    }
   };
+  const auto runners = [&](unsigned i) {
+    return threads / lanes + (i < threads % lanes ? 1 : 0);
+  };
+  std::vector<std::thread> helpers;
+  try {
+    for (unsigned i = 1; i < lanes; ++i) helpers.emplace_back(lane, runners(i));
+  } catch (...) {
+    // No thread to spare: the lanes already running take the phases.
+  }
+  lane(runners(0));
+  for (std::thread& helper : helpers) helper.join();
+  // Every phase task has finished: persist what the searches replayed —
+  // also when one failed, since an exception escaping main() never
+  // unwinds, so a destructor-based guard alone would lose it — and then
+  // rethrow the first failure in phase order.
+  if (persisted != nullptr) (void)persisted->save(options.cache_file);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
   const auto charge = [&result](const ExplorationResult& r) {
     result.total_simulations += r.simulations;
     result.total_cache_hits += r.cache_hits;
     result.total_cross_search_hits += r.cross_search_hits;
     result.total_persisted_hits += r.persisted_hits;
   };
-  try {
-    for (const AllocTrace& sub : sub_traces) {
-      if (sub.empty()) {
-        // Phase with no allocations: reuse defaults.
-        result.phase_configs.push_back(options.explorer_options.defaults);
-        result.phase_results.emplace_back();
-        if (options.validate) result.validation_results.emplace_back();
-        continue;
-      }
-      Explorer explorer(sub, explorer_options);
-      // The per-phase searcher is pluggable (explorer_options.search):
-      // greedy stays the default and the published flow; beam/anneal/...
-      // drop in through the same strategy seam.
-      const std::unique_ptr<SearchStrategy> strategy = make_strategy(
-          explorer_options.search, options.order, options.validation_trees);
-      ExplorationResult r = explorer.run(*strategy);
-      charge(r);
-      result.phase_configs.push_back(r.best);
-      result.phase_results.push_back(std::move(r));
-      if (options.validate) {
-        // Ground-truth pass over the high-impact subspace.  Runs after the
-        // walk, so the walk's outcome is byte-for-byte what it would be
-        // without validation; with a shared cache the two searches reuse
-        // each other's replays (reported as cross-search hits).
-        ExplorationResult v = explorer.exhaustive(options.validation_trees,
-                                                  options.validation_max_evals);
-        charge(v);
-        result.validation_results.push_back(std::move(v));
-      }
-    }
-  } catch (...) {
-    save_cache();
-    throw;
+  for (std::size_t p : work) {
+    charge(result.phase_results[p]);
+    if (options.validate) charge(result.validation_results[p]);
   }
-  save_cache();
   return result;
 }
 

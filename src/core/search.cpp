@@ -37,6 +37,11 @@ int uniform_leaf(std::mt19937& rng, int n) {
   }
 }
 
+/// candidate_better's primary tier: finite objectives more than 1% apart.
+bool outside_tie_band(double obj_a, double obj_b) {
+  return std::abs(obj_a - obj_b) > 0.01 * std::min(obj_a, obj_b);
+}
+
 /// True iff @p cfg passes the rule set at the search's pruning level.
 bool passes_rules(const ExplorerOptions& opts, const DmmConfig& cfg) {
   for (const alloc::RuleViolation& v : alloc::check_rules(cfg)) {
@@ -73,9 +78,8 @@ bool candidate_better(double obj_a, std::uint64_t failed_a, double avg_a,
     // Both infeasible: rank by distance to feasibility so the reported
     // least-bad vector is deterministic and meaningful.
     if (failed_a != failed_b) return failed_a < failed_b;
-  } else {
-    const double tol = 0.01 * std::min(obj_a, obj_b);
-    if (std::abs(obj_a - obj_b) > tol) return obj_a < obj_b;
+  } else if (outside_tie_band(obj_a, obj_b)) {
+    return obj_a < obj_b;
   }
   const double avg_tol = 0.01 * std::min(avg_a, avg_b);
   if (std::abs(avg_a - avg_b) > avg_tol) return avg_a < avg_b;
@@ -633,16 +637,81 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
 
 namespace {
 
+/// Every infeasible vector's energy is at least this; feasible ones are
+/// peaks (plus the time_weight term), far below it.
+constexpr double kInfeasibleEnergy = 1e30;
+
 /// Scalar energy SA minimises: the shared candidate objective for
 /// feasible vectors; infeasible ones sit beyond every feasible energy,
 /// ordered by how far from feasibility they are.
 double anneal_energy(const ExplorerOptions& opts, const EvalOutcome& out) {
   const double obj = candidate_objective(opts, out.sim, out.work_steps);
   if (std::isfinite(obj)) return obj;
-  return 1e30 + 1e24 * static_cast<double>(out.sim.failed_allocs);
+  return kInfeasibleEnergy + 1e24 * static_cast<double>(out.sim.failed_allocs);
+}
+
+/// Portable uniform in [0,1): mt19937's output sequence is fully
+/// specified, so the trajectory is identical on every stdlib.
+double uniform_unit(std::mt19937& rng) {
+  return std::ldexp(static_cast<double>(rng()), -32);
+}
+
+/// The smallest whole peak at or above @p lowest for which @p rejected
+/// holds, searched outward from @p estimate; @p rejected must be monotone
+/// (once true, true for every larger peak).  0 when the estimate is
+/// unusable or off by more than a few bytes — the caller then replays
+/// exactly, which is always correct.
+template <typename Pred>
+double first_rejected_peak(double estimate, double lowest, Pred rejected) {
+  constexpr double kMaxPeak = 0x1p52;  // whole numbers stay exact below
+  constexpr int kMaxSteps = 64;
+  if (!(estimate < kMaxPeak) || !(lowest < kMaxPeak)) return 0.0;
+  double peak = std::max(std::ceil(estimate), lowest);
+  for (int i = 0; !rejected(peak); ++i) {
+    if (i == kMaxSteps) return 0.0;
+    peak += 1.0;
+  }
+  for (int i = 0; peak > lowest && rejected(peak - 1.0); ++i) {
+    if (i == kMaxSteps) return 0.0;
+    peak -= 1.0;
+  }
+  return peak;
 }
 
 }  // namespace
+
+bool anneal_accepts_uphill(double delta, double temp, double u) {
+  return u < std::exp(-delta / temp);
+}
+
+std::size_t anneal_peak_cutoff(double energy, double temp, double u,
+                               double incumbent) {
+  if (!std::isfinite(energy) || !std::isfinite(incumbent) ||
+      energy >= kInfeasibleEnergy) {
+    return 0;
+  }
+  // Rejection: a peak above the current energy is uphill, and an uphill
+  // move is rejected at temp <= 0 or when the Metropolis test fails.  The
+  // test passes iff delta < -temp * ln(u), which seeds the search; the
+  // predicate itself decides.
+  const auto rejected = [&](double peak) {
+    const double delta = peak - energy;
+    return delta > 0.0 &&
+           !(temp > 0.0 && anneal_accepts_uphill(delta, temp, u));
+  };
+  const double lowest = std::floor(energy) + 1.0;
+  const double estimate = temp > 0.0 ? energy - temp * std::log(u) : lowest;
+  const double reject_at = first_rejected_peak(estimate, lowest, rejected);
+  // No displacement: candidate_better prefers a peak more than 1% above
+  // the incumbent in no tier.
+  const auto worse = [&](double peak) {
+    return peak > incumbent && outside_tie_band(peak, incumbent);
+  };
+  const double worse_at = first_rejected_peak(
+      1.01 * incumbent, std::floor(incumbent) + 1.0, worse);
+  if (reject_at == 0.0 || worse_at == 0.0) return 0;
+  return static_cast<std::size_t>(std::max(reject_at, worse_at)) - 1;
+}
 
 AnnealingSearch::AnnealingSearch(AnnealingOptions opts) : anneal_(opts) {}
 
@@ -707,18 +776,35 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
       break;
     }
 
-    const std::vector<EvalOutcome> out = ctx.evaluate({{next, 0}});
-    (void)ctx.offer_best(next, out[0]);
+    // Peak cutoff: every input of this proposal's fate but its own score
+    // is known now — the energy, the temperature, the incumbent, and the
+    // uniform the uphill test would draw (peeked from a copy of the rng).
+    // Past the cutoff the replay stops; the move is then certainly
+    // rejected and cannot be a new best.  Peak-only objectives on one
+    // trace: anything else replays exactly.
+    std::size_t cutoff = 0;
+    if (opts.time_weight == 0.0 && !ctx.family()) {
+      std::mt19937 peek = rng_;
+      const double u = temp_ > 0.0 ? uniform_unit(peek) : 0.0;
+      cutoff = anneal_peak_cutoff(energy_, temp_, u,
+                                  ctx.incumbent_objective());
+    }
+    const std::vector<EvalOutcome> out = ctx.evaluate({{next, 0, cutoff}});
     ++charged_;
     ++stepped;
-    const double next_energy = anneal_energy(opts, out[0]);
-    const double delta = next_energy - energy_;
-    bool accept = delta <= 0.0;
-    if (!accept && temp_ > 0.0) {
-      // Portable uniform in [0,1): mt19937's output sequence is fully
-      // specified, so the trajectory is identical on every stdlib.
-      const double u = std::ldexp(static_cast<double>(rng_()), -32);
-      accept = u < std::exp(-delta / temp_);
+    bool accept = false;
+    double next_energy = 0.0;
+    if (out[0].sim.stopped) {
+      // A certain rejection; the uphill test still consumes its draw so
+      // the trajectory matches a whole replay's.
+      if (temp_ > 0.0) (void)rng_();
+    } else {
+      (void)ctx.offer_best(next, out[0]);
+      next_energy = anneal_energy(opts, out[0]);
+      const double delta = next_energy - energy_;
+      accept = delta <= 0.0 ||
+               (temp_ > 0.0 &&
+                anneal_accepts_uphill(delta, temp_, uniform_unit(rng_)));
     }
     if (accept) {
       state_ = next;

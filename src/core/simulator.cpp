@@ -36,10 +36,13 @@ class LiveMap {
   void emplace(std::uint32_t id, void* ptr, std::uint32_t size) {
     if (dense_) {
       LiveObj& slot = flat_[id];
-      if (slot.ptr == nullptr) slot = {ptr, size};
+      if (slot.ptr == nullptr) {
+        slot = {ptr, size};
+        ++count_;
+      }
       return;
     }
-    map_.emplace(id, LiveObj{ptr, size});
+    if (map_.emplace(id, LiveObj{ptr, size}).second) ++count_;
   }
 
   [[nodiscard]] LiveObj* find(std::uint32_t id) {
@@ -51,13 +54,17 @@ class LiveMap {
     return it == map_.end() ? nullptr : &it->second;
   }
 
+  /// Only for an id find() just returned.
   void erase(std::uint32_t id) {
+    --count_;
     if (dense_) {
       flat_[id].ptr = nullptr;
     } else {
       map_.erase(id);
     }
   }
+
+  [[nodiscard]] bool empty() const { return count_ == 0; }
 
   /// Id-sorted view of the live set (checkpoint capture + teardown order).
   [[nodiscard]] std::vector<SimLiveObj> sorted() const {
@@ -83,6 +90,7 @@ class LiveMap {
 
  private:
   bool dense_;
+  std::size_t count_ = 0;  ///< live ids
   std::vector<LiveObj> flat_;
   std::unordered_map<std::uint32_t, LiveObj> map_;
 };
@@ -191,8 +199,12 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
     }
     const std::size_t fp = arena.footprint();
     footprint_sum += static_cast<double>(fp);
-    if (fp > r.peak_footprint) r.peak_footprint = fp;
+    if (fp > r.peak_footprint) {
+      r.peak_footprint = fp;
+      r.stopped = opts.peak_cutoff != 0 && fp > opts.peak_cutoff;
+    }
     ++r.events;
+    if (r.stopped) break;
     if (opts.timeline != nullptr && opts.timeline_stride != 0 &&
         (r.events % opts.timeline_stride) == 0) {
       opts.timeline->push_back({r.events, fp, manager.stats().live_bytes});
@@ -221,13 +233,15 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
         {r.events, r.final_footprint, manager.stats().live_bytes});
   }
   // End-of-trace checkpoint: everything replayed, teardown still to run.
-  if (opts.capture && r.events > 0) capture_now();
-  // Tear down whatever the trace leaked so the manager can be destroyed
-  // cleanly (traces are normally closed; this is a guard).  Id order keeps
-  // the sweep — and the work it charges — independent of the live-map
-  // backend.
+  if (opts.capture && r.events > 0 && !r.stopped) capture_now();
+  // Tear down whatever the trace leaked — or a stopped replay left live —
+  // so the manager can be destroyed cleanly.  Id order keeps the sweep —
+  // and the work it charges — independent of the live-map backend; a
+  // closed trace leaves nothing live, so the id scan is skipped.
   if (opts.consult != nullptr) opts.consult->current_event = total;
-  for (const SimLiveObj& obj : live.sorted()) manager.deallocate(obj.ptr);
+  if (!live.empty()) {
+    for (const SimLiveObj& obj : live.sorted()) manager.deallocate(obj.ptr);
+  }
   alloc::set_consult_sink(prev_sink);
   return r;
 }

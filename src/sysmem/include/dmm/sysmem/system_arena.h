@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -152,7 +151,7 @@ class SystemArena {
   void set_observer(Observer obs) { observer_ = std::move(obs); }
 
   /// Number of chunks currently granted and not yet released.
-  [[nodiscard]] std::size_t live_chunks() const { return grants_.size(); }
+  [[nodiscard]] std::size_t live_chunks() const { return live_grants_; }
 
   /// True iff @p ptr is a currently live grant of this arena.
   [[nodiscard]] bool owns(const std::byte* ptr) const;
@@ -183,14 +182,20 @@ class SystemArena {
   /// Lowest-offset region of >= @p size bytes, or npos.
   [[nodiscard]] std::size_t take_region(std::size_t size);
   void give_region(std::size_t offset, std::size_t size);
+  /// grants_ slot of the grant that would start at @p ptr, or npos when
+  /// @p ptr lies off the granule grid or outside the carved extent.
+  [[nodiscard]] std::size_t grant_slot(const std::byte* ptr) const;
 
   std::size_t capacity_;
   std::size_t page_size_;
   ArenaStats stats_;
   Observer observer_;
-  // Live grants: base pointer -> granted size.  unordered_map keeps
-  // release() O(1); the arena is bookkeeping, not the hot path under test.
-  std::unordered_map<const std::byte*, std::size_t> grants_;
+  // Live grants: granted size (0 = none) per granule of slab offset, a
+  // granule being max(page, 16 B) — every grant starts on one.  Indexed,
+  // not hashed: every chunk grow and release of a replay lands here.
+  unsigned granule_shift_ = 0;
+  std::vector<std::size_t> grants_;
+  std::size_t live_grants_ = 0;
 
   // Deterministic slab: released regions keyed by offset (ordered, so
   // reuse is lowest-offset-first), plus a bump pointer for fresh carves.

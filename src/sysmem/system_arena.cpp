@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -117,6 +118,12 @@ SystemArena::SystemArena(std::size_t capacity_bytes, std::size_t page_size)
     : capacity_(capacity_bytes), page_size_(page_size) {
   if (!is_power_of_two(page_size_)) {
     die("page size must be a power of two");
+  }
+  // Grants are page multiples carved at grain-rounded offsets, so every
+  // grant starts on a max(page, grain) boundary.
+  while ((std::size_t{1} << granule_shift_) <
+         std::max(page_size_, kGrainBytes)) {
+    ++granule_shift_;
   }
 }
 
@@ -244,7 +251,10 @@ std::byte* SystemArena::request(std::size_t bytes, std::size_t* granted) {
     return nullptr;
   }
   std::byte* ptr = slab_ + offset;
-  grants_.emplace(ptr, size);
+  const std::size_t slot = offset >> granule_shift_;
+  if (slot >= grants_.size()) grants_.resize(slot + 1, 0);
+  grants_[slot] = size;
+  ++live_grants_;
   stats_.current_footprint += size;
   stats_.total_requested += size;
   ++stats_.request_count;
@@ -256,13 +266,28 @@ std::byte* SystemArena::request(std::size_t bytes, std::size_t* granted) {
   return ptr;
 }
 
+std::size_t SystemArena::grant_slot(const std::byte* ptr) const {
+  if (slab_ == nullptr) return kNpos;
+  // dmm-lint: allow(ptr-order): slab-relative offset, not an ordering
+  const auto addr = reinterpret_cast<std::uintptr_t>(ptr);
+  // dmm-lint: allow(ptr-order): slab-relative offset, not an ordering
+  const std::uintptr_t offset = addr - reinterpret_cast<std::uintptr_t>(slab_);
+  const std::size_t slot = offset >> granule_shift_;
+  if ((offset & ((std::uintptr_t{1} << granule_shift_) - 1)) != 0 ||
+      slot >= grants_.size()) {
+    return kNpos;
+  }
+  return slot;
+}
+
 void SystemArena::release(std::byte* ptr) {
-  auto it = grants_.find(ptr);
-  if (it == grants_.end()) {
+  const std::size_t slot = grant_slot(ptr);
+  if (slot == kNpos || grants_[slot] == 0) {
     die("release() of a pointer that is not a live grant");
   }
-  const std::size_t size = it->second;
-  grants_.erase(it);
+  const std::size_t size = grants_[slot];
+  grants_[slot] = 0;
+  --live_grants_;
   give_region(static_cast<std::size_t>(ptr - slab_), grain_rounded(size));
   stats_.current_footprint -= size;
   stats_.total_released += size;
@@ -278,14 +303,13 @@ ArenaSnapshot SystemArena::save_state() const {
     std::memcpy(snap.bytes.data(), slab_, bump_);
   }
   snap.free_regions.assign(free_regions_.begin(), free_regions_.end());
-  snap.grants.reserve(grants_.size());
-  // dmm-lint: allow(unordered-iter): grants are sorted below before use
-  for (const auto& [ptr, size] : grants_) {
-    snap.grants.emplace_back(static_cast<std::size_t>(ptr - slab_), size);
+  snap.grants.reserve(live_grants_);
+  // Offset order, so snapshots of equal states compare equal.
+  for (std::size_t slot = 0; slot < grants_.size(); ++slot) {
+    if (grants_[slot] != 0) {
+      snap.grants.emplace_back(slot << granule_shift_, grants_[slot]);
+    }
   }
-  // Sorted so restore rebuilds the unordered_map from a canonical sequence
-  // (the map itself does not care, but the snapshot becomes comparable).
-  std::sort(snap.grants.begin(), snap.grants.end());
   snap.stats = stats_;
   snap.capacity = capacity_;
   snap.page_size = page_size_;
@@ -308,21 +332,24 @@ bool SystemArena::restore_state(const ArenaSnapshot& snap) {
   for (const auto& [offset, size] : snap.free_regions) {
     free_regions_.emplace(offset, size);
   }
-  grants_.clear();
+  grants_.assign(snap.bump >> granule_shift_, 0);
+  live_grants_ = snap.grants.size();
   for (const auto& [offset, size] : snap.grants) {
-    grants_.emplace(slab_ + offset, size);
+    const std::size_t slot = offset >> granule_shift_;
+    if (slot >= grants_.size()) grants_.resize(slot + 1, 0);
+    grants_[slot] = size;
   }
   stats_ = snap.stats;
   return true;
 }
 
 bool SystemArena::owns(const std::byte* ptr) const {
-  return grants_.contains(ptr);
+  return grant_size(ptr) != 0;
 }
 
 std::size_t SystemArena::grant_size(const std::byte* ptr) const {
-  auto it = grants_.find(ptr);
-  return it == grants_.end() ? 0 : it->second;
+  const std::size_t slot = grant_slot(ptr);
+  return slot == kNpos ? 0 : grants_[slot];
 }
 
 }  // namespace dmm::sysmem

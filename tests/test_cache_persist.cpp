@@ -1,9 +1,10 @@
 // The cross-process score-cache persistence subsystem:
 //  * SharedScoreCache::save / ::load round-trip every entry bit for bit,
 //  * a snapshot is untrusted input — truncation, corruption, a foreign
-//    magic, an unknown format version, or an empty file all reject the
-//    whole file and the cache starts cold (never a crash, never a
-//    partial import),
+//    magic, an unknown format version (the pre-flags v2 included), an
+//    unknown entry flag, or an empty file all reject the whole file and
+//    the cache starts cold (never a crash, never a partial import),
+//  * lower-bound entries keep their tier across the round trip,
 //  * saves are atomic (temp file + rename): concurrent savers
 //    last-writer-win and the surviving file always loads,
 //  * ExplorerOptions::cache_file / MethodologyOptions::cache_file thread
@@ -243,6 +244,59 @@ TEST_F(CachePersist, FutureVersionStartsCold) {
   EXPECT_FALSE(r.loaded);
   EXPECT_NE(r.reason.find("version"), std::string::npos) << r.reason;
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(CachePersist, VersionTwoSnapshotStartsCold) {
+  // Version 2 records carry no entry-flags word; such a file is rejected
+  // whole rather than misparsed.
+  ASSERT_TRUE(seeded_cache(1, 3)->save(path_).saved);
+  std::vector<std::uint8_t> buf = slurp();
+  ASSERT_EQ(kSnapshotVersion, 3u);
+  buf[8] = 2;
+  fix_checksum(buf);
+  spit(buf);
+  SharedScoreCache cache;
+  const SnapshotLoadResult r = cache.load(path_);
+  EXPECT_FALSE(r.loaded);
+  EXPECT_NE(r.reason.find("version 2"), std::string::npos) << r.reason;
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST_F(CachePersist, LowerBoundFlagSurvivesTheRoundTrip) {
+  const DmmConfig bound = alloc::canonical(alloc::minimal_config());
+  const DmmConfig exact = alloc::canonical(alloc::drr_paper_config());
+  {
+    SharedScoreCache cache;
+    auto session = cache.begin_search(9);
+    SharedScoreCache::Entry e;
+    e.sim.peak_footprint = 5000;
+    e.sim.stopped = true;
+    session.insert_canonical(bound, e);
+    e.sim.stopped = false;
+    session.insert_canonical(exact, e);
+    ASSERT_TRUE(cache.save(path_).saved);
+  }
+  SharedScoreCache cache;
+  ASSERT_TRUE(cache.load(path_).loaded);
+  auto session = cache.begin_search(9);
+  SharedScoreCache::Entry out;
+  EXPECT_FALSE(session.lookup_canonical(bound, &out))
+      << "a persisted lower bound must not answer an exact lookup";
+  ASSERT_TRUE(session.lookup_canonical(bound, &out, 4999));
+  EXPECT_TRUE(out.sim.stopped);
+  ASSERT_TRUE(session.lookup_canonical(exact, &out));
+  EXPECT_FALSE(out.sim.stopped);
+
+  // Any entry flag besides the lower-bound bit is a corrupt record.
+  std::vector<std::uint8_t> buf = slurp();
+  buf[kSnapshotHeaderBytes + kSnapshotRecordBytes - 1] = 0x80;
+  fix_checksum(buf);
+  spit(buf);
+  SharedScoreCache fresh;
+  const SnapshotLoadResult r = fresh.load(path_);
+  EXPECT_FALSE(r.loaded);
+  EXPECT_NE(r.reason.find("corrupt record"), std::string::npos) << r.reason;
+  EXPECT_EQ(fresh.size(), 0u);
 }
 
 TEST_F(CachePersist, FlippedBodyByteStartsCold) {

@@ -268,6 +268,43 @@ TEST_P(IncrementalEquivalence, SearchesMatchAcrossThreadsAndCacheScopes) {
 INSTANTIATE_TEST_SUITE_P(Strategies, IncrementalEquivalence,
                          ::testing::Values("greedy", "beam", "anneal"));
 
+TEST(Incremental, CutoffJobsReplayColdAndLandAsLowerBounds) {
+  // A job with a peak cutoff stops where its peak passes it, so it replays
+  // cold even with a checkpoint store configured; a same-vector exact job
+  // in the same batch is not folded into it, and its exact score then
+  // answers the next cutoff job from the cache.
+  const auto trace =
+      std::make_shared<const AllocTrace>(workload_trace("drr", 3000));
+  const DmmConfig cfg = alloc::drr_paper_config();
+  SerialEngine reference;
+  const EvalOutcome whole = reference.evaluate(*trace, {{cfg, 0}})[0];
+  const std::size_t cutoff = whole.sim.peak_footprint / 2;
+
+  SerialEngine engine;
+  auto store = std::make_shared<CheckpointStore>();
+  engine.configure_incremental(store, /*verify=*/true);
+  (void)engine.evaluate(*trace, {{cfg, 0}});  // a baseline to resume from
+  ScoreCache cache;
+  const std::vector<EvalOutcome> batch =
+      engine.evaluate(*trace, {{cfg, 0, cutoff}, {cfg, 1, 0}}, &cache);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_TRUE(batch[0].sim.stopped);
+  EXPECT_FALSE(batch[0].resumed);
+  EXPECT_FALSE(batch[0].from_cache);
+  EXPECT_GT(batch[0].sim.peak_footprint, cutoff);
+  EXPECT_LT(batch[0].replayed_events, trace->size());
+  EXPECT_FALSE(batch[1].sim.stopped);
+  EXPECT_FALSE(batch[1].from_cache) << "another cutoff is another answer";
+  expect_same_outcome(batch[1], whole, "exact job beside a cutoff job");
+
+  const EvalOutcome hit =
+      engine.evaluate(*trace, {{cfg, 2, cutoff}}, &cache)[0];
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_FALSE(hit.sim.stopped) << "the exact entry upgraded the bound";
+  expect_same_outcome(hit, whole, "cutoff job served the exact score");
+  EXPECT_EQ(store->stats().verify_failures, 0u);
+}
+
 TEST(Incremental, GreedyWalkReplaysFewerEventsThanCold) {
   const auto trace =
       std::make_shared<const AllocTrace>(workload_trace("drr", 3000));

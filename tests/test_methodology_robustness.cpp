@@ -1,9 +1,15 @@
 // Robustness of the methodology: the paper designs the custom manager
 // from profiled behaviour and deploys it on *future* inputs.  These tests
 // check that a manager designed on one seed generalises to unseen seeds,
-// and that the phase machinery actually pays off where it should.
+// that the phase machinery actually pays off where it should, and that
+// searching the phases concurrently changes no result.
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "dmm/core/methodology.h"
 #include "dmm/managers/registry.h"
@@ -78,6 +84,74 @@ TEST(MethodologyRobustness, DesignIsDeterministic) {
   ASSERT_EQ(a.phase_configs.size(), b.phase_configs.size());
   for (std::size_t i = 0; i < a.phase_configs.size(); ++i) {
     EXPECT_TRUE(a.phase_configs[i] == b.phase_configs[i]);
+  }
+}
+
+/// Three phases with distinct size mixes, each freeing what it allocated.
+core::AllocTrace three_phase_trace() {
+  core::AllocTrace t;
+  std::mt19937 rng(11);
+  const std::uint32_t sizes[3][3] = {
+      {24, 40, 64}, {512, 900, 1500}, {64, 2048, 7000}};
+  std::uint32_t next_id = 0;
+  for (std::uint16_t phase = 0; phase < 3; ++phase) {
+    std::vector<std::uint32_t> live;
+    for (int i = 0; i < 1200; ++i) {
+      if (live.empty() || rng() % 3 != 0) {
+        t.record_alloc(next_id, sizes[phase][rng() % 3] + rng() % 32, phase);
+        live.push_back(next_id++);
+      } else {
+        const std::size_t k = rng() % live.size();
+        t.record_free(live[k], phase);
+        live[k] = live.back();
+        live.pop_back();
+      }
+    }
+    for (const std::uint32_t id : live) t.record_free(id, phase);
+  }
+  return t;
+}
+
+TEST(MethodologyRobustness, ConcurrentPhasesMatchTheSequentialDesign) {
+  // Phases search concurrently (up to num_threads at once, runners split
+  // between them); every per-phase result and the run's accounting must
+  // equal the one-thread, one-phase-at-a-time run.
+  const core::AllocTrace trace = three_phase_trace();
+  ASSERT_EQ(trace.stats().phases, 3u);
+  const auto design = [&](unsigned threads) {
+    core::MethodologyOptions opts;
+    opts.explorer_options.num_threads = threads;
+    opts.explorer_options.search = *core::parse_search_spec("anneal");
+    opts.explorer_options.search.anneal.max_evals = 60;
+    opts.explorer_options.shared_cache =
+        std::make_shared<core::SharedScoreCache>();
+    opts.validate = true;
+    opts.validation_max_evals = 40;
+    return core::design_manager(trace, opts);
+  };
+  const core::MethodologyResult serial = design(1);
+  ASSERT_EQ(serial.phase_configs.size(), 3u);
+  for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+    const std::string what = std::to_string(threads) + " threads";
+    const core::MethodologyResult r = design(threads);
+    ASSERT_EQ(r.phase_configs.size(), 3u) << what;
+    for (std::size_t p = 0; p < 3; ++p) {
+      EXPECT_TRUE(r.phase_configs[p] == serial.phase_configs[p]) << what;
+      const core::ExplorationResult& a = r.phase_results[p];
+      const core::ExplorationResult& b = serial.phase_results[p];
+      EXPECT_EQ(a.best_sim.peak_footprint, b.best_sim.peak_footprint) << what;
+      EXPECT_EQ(a.best_sim.avg_footprint, b.best_sim.avg_footprint) << what;
+      EXPECT_EQ(a.evals_to_best, b.evals_to_best) << what;
+      EXPECT_EQ(a.simulations, b.simulations) << what;
+      EXPECT_EQ(a.cache_hits, b.cache_hits) << what;
+      EXPECT_TRUE(r.validation_results[p].best ==
+                  serial.validation_results[p].best)
+          << what;
+    }
+    EXPECT_EQ(r.total_simulations, serial.total_simulations) << what;
+    EXPECT_EQ(r.total_cache_hits, serial.total_cache_hits) << what;
+    EXPECT_EQ(r.total_cross_search_hits, serial.total_cross_search_hits)
+        << what;
   }
 }
 

@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -421,6 +423,81 @@ TEST_F(SearchStrategies, GoldenAnnealPins) {
               "D2=always E1=not-fixed E2=always",
               2457600u, 1413880.7079377137, 46606u, 439u, 0u, 556u},
              "portfolio:greedy+beam:4+anneal");
+}
+
+TEST(AnnealPeakCutoff, SitsWhereTheAcceptancePredicatesTurn) {
+  // Checked against the predicates AnnealingSearch applies, not against
+  // the log algebra that seeds the cutoff: above it the Metropolis test
+  // rejects and candidate_better cannot prefer the proposal even with the
+  // best tie-breaks (average footprint and work 0); at it, one of the two
+  // still lets the proposal through.
+  struct Case {
+    double energy, temp, u, incumbent;
+  };
+  const Case cases[] = {
+      {2457600, 245760, 0.5, 2457600},       // start of a run
+      {2457600, 245760, 0.999, 2441216},     // u near 1: barely uphill
+      {2457600, 245760, 1e-9, 2441216},      // u near 0: far uphill
+      {131072, 0.0, 0.0, 131072},            // frozen: never uphill
+      {131072, 1e-300, 0.3, 131072},         // temperature underflow
+      {100000, 5000, 0.25, 150000},          // incumbent above the state
+      {2473984, 81234.5, 0.61803, 2424832},  // fractional temperature
+  };
+  for (const Case& c : cases) {
+    const std::string what = "energy " + std::to_string(c.energy) + " temp " +
+                             std::to_string(c.temp) + " u " +
+                             std::to_string(c.u);
+    const std::size_t cutoff =
+        anneal_peak_cutoff(c.energy, c.temp, c.u, c.incumbent);
+    ASSERT_GT(cutoff, 0u) << what;
+    const auto passes = [&](std::size_t peak) {
+      const double p = static_cast<double>(peak);
+      const double delta = p - c.energy;
+      const bool accepted =
+          delta <= 0.0 ||
+          (c.temp > 0.0 && anneal_accepts_uphill(delta, c.temp, c.u));
+      const bool may_displace =
+          candidate_better(p, 0, 0.0, 0, c.incumbent, 0, 1000.0, 1000);
+      return accepted || may_displace;
+    };
+    EXPECT_TRUE(passes(cutoff)) << what << " cutoff " << cutoff;
+    EXPECT_FALSE(passes(cutoff + 1)) << what << " cutoff " << cutoff;
+    EXPECT_FALSE(passes(cutoff + 1000)) << what;
+  }
+  // No cutoff where the outcome cannot be decided from a peak alone.
+  EXPECT_EQ(anneal_peak_cutoff(1e30, 1e29, 0.5, 2457600), 0u)
+      << "infeasible state";
+  EXPECT_EQ(anneal_peak_cutoff(2457600, 245760, 0.5,
+                               std::numeric_limits<double>::infinity()),
+            0u)
+      << "infeasible incumbent";
+  EXPECT_EQ(anneal_peak_cutoff(2457600, 245760, 0.0, 2457600), 0u)
+      << "u == 0 accepts every finite uphill move";
+}
+
+TEST_F(SearchStrategies, AnnealingStopsCertainRejectionsEarly) {
+  // The cutoffs fire: fewer events replayed than whole replays would take,
+  // and the stopped replays sit in the cache as lower-bound entries that a
+  // second identical run is served from.
+  const AllocTrace drr = drr_trace(4000);
+  ExplorerOptions opts;
+  opts.shared_cache = std::make_shared<SharedScoreCache>();
+  Explorer ex(drr, opts);
+  AnnealingOptions aopts;
+  aopts.seed = 5;
+  AnnealingSearch sa(aopts);
+  const ExplorationResult first = ex.run(sa);
+  EXPECT_LT(first.replayed_events, first.simulations * drr.size());
+  const ExplorationResult again = ex.run(sa);
+  expect_identical(again, first, "anneal:5 again on a warm cache");
+  EXPECT_EQ(again.simulations, 0u);
+
+  // A time-weighted objective replays every proposal whole.
+  ExplorerOptions weighted;
+  weighted.time_weight = 1.0;
+  Explorer wex(drr, weighted);
+  const ExplorationResult w = wex.run(sa);
+  EXPECT_EQ(w.replayed_events, w.simulations * drr.size());
 }
 
 TEST_F(SearchStrategies, AnnealingFindsCompetitiveDesign) {

@@ -210,6 +210,91 @@ TEST(SharedScoreCache, SessionRoundTripAndCrossSearchAccounting) {
 }
 
 // ---------------------------------------------------------------------------
+// Lower-bound entries: replays stopped at a peak cutoff
+// ---------------------------------------------------------------------------
+
+CandidateCache::Entry scored(std::size_t peak, bool stopped) {
+  CandidateCache::Entry e;
+  e.sim.peak_footprint = peak;
+  e.sim.stopped = stopped;
+  e.work_steps = peak / 10;
+  return e;
+}
+
+/// The tier and upgrade contract, run against any CandidateCache.
+void expect_lower_bound_contract(CandidateCache& cache,
+                                 const std::string& what) {
+  const DmmConfig canon = alloc::canonical(alloc::drr_paper_config());
+  CandidateCache::Entry out;
+  cache.insert_canonical(canon, scored(5000, /*stopped=*/true));
+  EXPECT_FALSE(cache.lookup_canonical(canon, &out))
+      << what << ": an exact lookup must never see a lower bound";
+  EXPECT_FALSE(cache.lookup_canonical(canon, &out, 0)) << what;
+  EXPECT_FALSE(cache.lookup_canonical(canon, &out, 5000))
+      << what << ": a bound at the cutoff proves nothing";
+  ASSERT_TRUE(cache.lookup_canonical(canon, &out, 4999)) << what;
+  EXPECT_TRUE(out.sim.stopped) << what;
+  EXPECT_EQ(out.sim.peak_footprint, 5000u) << what;
+
+  // A lower stopped peak does not replace a higher one ...
+  cache.insert_canonical(canon, scored(4000, true));
+  ASSERT_TRUE(cache.lookup_canonical(canon, &out, 4999)) << what;
+  EXPECT_EQ(out.sim.peak_footprint, 5000u) << what;
+  // ... a higher one does ...
+  cache.insert_canonical(canon, scored(7000, true));
+  EXPECT_FALSE(cache.lookup_canonical(canon, &out)) << what;
+  ASSERT_TRUE(cache.lookup_canonical(canon, &out, 6000)) << what;
+  EXPECT_EQ(out.sim.peak_footprint, 7000u) << what;
+  // ... and an exact score replaces any bound and answers every lookup.
+  cache.insert_canonical(canon, scored(9000, false));
+  ASSERT_TRUE(cache.lookup_canonical(canon, &out)) << what;
+  EXPECT_FALSE(out.sim.stopped) << what;
+  EXPECT_EQ(out.sim.peak_footprint, 9000u) << what;
+  ASSERT_TRUE(cache.lookup_canonical(canon, &out, 100000))
+      << what << ": an exact entry answers a cutoff lookup too";
+  EXPECT_EQ(out.sim.peak_footprint, 9000u) << what;
+
+  // Exact entries are final: neither a bound nor another write moves them.
+  cache.insert_canonical(canon, scored(20000, true));
+  cache.insert_canonical(canon, scored(1, false));
+  ASSERT_TRUE(cache.lookup_canonical(canon, &out)) << what;
+  EXPECT_FALSE(out.sim.stopped) << what;
+  EXPECT_EQ(out.sim.peak_footprint, 9000u) << what;
+}
+
+TEST(LowerBoundEntries, ScoreCacheServesAndUpgradesByTheContract) {
+  ScoreCache cache;
+  expect_lower_bound_contract(cache, "ScoreCache");
+  const DmmConfig cfg = alloc::minimal_config();
+  cache.insert(cfg, scored(100, true));
+  EXPECT_EQ(cache.lookup(cfg), nullptr)
+      << "the by-config lookup is exact too";
+}
+
+TEST(LowerBoundEntries, SharedSessionsServeAndUpgradeByTheContract) {
+  SharedScoreCache cache;
+  auto session = cache.begin_search(111);
+  expect_lower_bound_contract(session, "SharedScoreCache::Session");
+  EXPECT_EQ(cache.stats().insertions, 1u) << "upgrades add no entry";
+
+  // Across sessions: the upgrade moves provenance with the score, and a
+  // lookup the bound cannot answer is a miss, not a hit.
+  const DmmConfig canon = alloc::canonical(alloc::minimal_config());
+  auto a = cache.begin_search(111);
+  auto b = cache.begin_search(111);
+  a.insert_canonical(canon, scored(300, true));
+  CandidateCache::Entry out;
+  const std::uint64_t hits = cache.stats().hits;
+  EXPECT_FALSE(b.lookup_canonical(canon, &out, 400));
+  EXPECT_EQ(cache.stats().hits, hits);
+  b.insert_canonical(canon, scored(500, true));
+  ASSERT_TRUE(b.lookup_canonical(canon, &out, 400));
+  EXPECT_EQ(b.cross_search_hits(), 0u) << "b's own replay now holds the key";
+  ASSERT_TRUE(a.lookup_canonical(canon, &out, 400));
+  EXPECT_EQ(a.cross_search_hits(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Shared cache vs per-search cache: bit-identical searches
 // ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -9,6 +10,7 @@
 
 #include "dmm/alloc/custom_manager.h"
 #include "dmm/alloc/policy_core.h"
+#include "dmm/core/constraints.h"
 #include "dmm/core/explorer.h"
 #include "dmm/managers/kingsley.h"
 #include "dmm/managers/lea.h"
@@ -224,6 +226,119 @@ TEST(Simulator, ReplayOnARecycledDirtySlabMatchesAFreshThread) {
       EXPECT_EQ(recycled.sim.failed_allocs, fresh.sim.failed_allocs) << what;
       EXPECT_EQ(recycled.sim.events, fresh.sim.events) << what;
       EXPECT_EQ(recycled.work_steps, fresh.work_steps) << what;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Peak cutoff: a replay stops where its running peak passes the cutoff
+// ---------------------------------------------------------------------------
+
+struct CutReplay {
+  SimResult sim;
+  std::uint64_t work_steps = 0;
+  std::size_t live_bytes_after = 0;   ///< manager's live bytes on return
+  std::size_t live_chunks_after = 0;  ///< arena grants once it is destroyed
+};
+
+CutReplay replay_with_cutoff(const AllocTrace& t, const alloc::DmmConfig& cfg,
+                             std::size_t cutoff,
+                             std::vector<TimelinePoint>* timeline = nullptr) {
+  CutReplay r;
+  sysmem::SystemArena arena;
+  {
+    alloc::PolicyCore core(arena, cfg, "designed",
+                           /*strict_accounting=*/false);
+    SimReplayOptions opts;
+    opts.peak_cutoff = cutoff;
+    opts.timeline = timeline;
+    opts.timeline_stride = 1;
+    r.sim = simulate(t, core, opts);
+    r.work_steps = core.work_steps();
+    r.live_bytes_after = core.stats().live_bytes;
+  }
+  r.live_chunks_after = arena.live_chunks();
+  return r;
+}
+
+void expect_same_sim(const CutReplay& a, const CutReplay& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.sim.peak_footprint, b.sim.peak_footprint) << what;
+  EXPECT_EQ(a.sim.final_footprint, b.sim.final_footprint) << what;
+  EXPECT_EQ(a.sim.avg_footprint, b.sim.avg_footprint) << what;
+  EXPECT_EQ(a.sim.peak_live_bytes, b.sim.peak_live_bytes) << what;
+  EXPECT_EQ(a.sim.failed_allocs, b.sim.failed_allocs) << what;
+  EXPECT_EQ(a.sim.events, b.sim.events) << what;
+  EXPECT_EQ(a.sim.stopped, b.sim.stopped) << what;
+  EXPECT_EQ(a.work_steps, b.work_steps) << what;
+}
+
+TEST(Simulator, PeakCutoffStopsAtTheFirstEventAboveIt) {
+  const DecidedMask none{};
+  // A shrinking manager (the footprint falls back below its running peak)
+  // and the default completion, on every case study.
+  const alloc::DmmConfig configs[] = {
+      alloc::drr_paper_config(),
+      Constraints::repair(alloc::DmmConfig{}, none)};
+  for (const workloads::Workload& w : workloads::case_studies()) {
+    AllocTrace t = workloads::record_trace(w, 3);
+    if (t.size() > 5000) {
+      t.events().resize(5000);
+      t.close_leaks();
+    }
+    for (std::size_t c = 0; c < 2; ++c) {
+      const std::string what = w.name + " config " + std::to_string(c);
+      std::vector<TimelinePoint> timeline;
+      const CutReplay full = replay_with_cutoff(t, configs[c], 0, &timeline);
+      ASSERT_FALSE(full.sim.stopped) << what;
+      ASSERT_EQ(timeline.size(), full.sim.events + 1) << what;
+      // Running maximum after each event, and the distinct peak levels.
+      std::vector<std::size_t> running(full.sim.events);
+      std::vector<std::size_t> levels;
+      for (std::size_t i = 0; i < running.size(); ++i) {
+        running[i] = std::max(i == 0 ? 0 : running[i - 1],
+                              timeline[i].footprint);
+        if (levels.empty() || running[i] > levels.back()) {
+          levels.push_back(running[i]);
+        }
+      }
+      ASSERT_EQ(levels.back(), full.sim.peak_footprint) << what;
+      ASSERT_GE(levels.size(), 3u) << what << ": too few peak levels";
+
+      // Cutoffs at and just below a spread of peak levels.
+      std::vector<std::size_t> cutoffs;
+      for (std::size_t k = 1; k < 6; ++k) {
+        const std::size_t level = levels[k * (levels.size() - 1) / 6];
+        cutoffs.push_back(level);
+        cutoffs.push_back(level - 1);
+      }
+      for (const std::size_t cutoff : cutoffs) {
+        const std::string at = what + " cutoff " + std::to_string(cutoff);
+        std::size_t stop = 0;
+        while (timeline[stop].footprint <= cutoff) ++stop;
+        double sum = 0.0;
+        for (std::size_t i = 0; i <= stop; ++i) {
+          sum += static_cast<double>(timeline[i].footprint);
+        }
+        const CutReplay cut = replay_with_cutoff(t, configs[c], cutoff);
+        EXPECT_TRUE(cut.sim.stopped) << at;
+        EXPECT_EQ(cut.sim.events, stop + 1) << at;
+        EXPECT_EQ(cut.sim.peak_footprint, running[stop]) << at;
+        EXPECT_GT(cut.sim.peak_footprint, cutoff) << at;
+        EXPECT_EQ(cut.sim.avg_footprint,
+                  sum / static_cast<double>(stop + 1))
+            << at;
+        EXPECT_EQ(cut.live_bytes_after, 0u) << at << ": teardown skipped";
+        EXPECT_EQ(cut.live_chunks_after, 0u) << at;
+      }
+      // A cutoff the replay never passes changes nothing.
+      for (const std::size_t cutoff :
+           {full.sim.peak_footprint, full.sim.peak_footprint + 1,
+            std::size_t{1} << 40}) {
+        expect_same_sim(replay_with_cutoff(t, configs[c], cutoff), full,
+                        what + " cutoff >= peak");
+      }
+      EXPECT_EQ(full.live_chunks_after, 0u) << what;
     }
   }
 }
