@@ -80,6 +80,13 @@ struct MethodologyResult {
 /// detect/respect phases, traverse the ordered trees per phase, and return
 /// the atomic decision vectors plus a factory for the global manager.
 ///
+/// Phases are designed independently (Sec. 3.3), so up to
+/// explorer_options.num_threads of them search at once, the engine runners
+/// split between them (1 thread: one phase at a time).  Results are
+/// assembled in phase order and equal the sequential run's, accounting
+/// included.  Every phase task is joined before the cache is saved or a
+/// phase's exception is rethrown (the first in phase order).
+///
 /// This is the single-trace adapter under the unified request surface:
 /// api::run_design_request() (dmm/api/design_api.h) bridges a
 /// DesignRequest onto exactly this call, and tests/test_api_request.cpp

@@ -68,8 +68,8 @@ MethodologyResult design_manager(const AllocTrace& trace,
   }
   if (explorer_options.cache && !explorer_options.cache_file.empty() &&
       explorer_options.shared_cache == nullptr) {
-    // Per-Explorer persistence: one cache for every phase, so whichever
-    // phase saves last writes all of them.
+    // Per-Explorer persistence: one cache for every phase, so each
+    // phase's save writes every phase's entries, whichever lands last.
     explorer_options.shared_cache = std::make_shared<SharedScoreCache>();
   }
   const std::size_t n = sub_traces.size();
@@ -93,12 +93,12 @@ MethodologyResult design_manager(const AllocTrace& trace,
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   const auto lane = [&](unsigned runners) {
-    ExplorerOptions lane_options = explorer_options;
-    lane_options.num_threads = runners;
     for (std::size_t k = next.fetch_add(1); k < work.size() && !failed;
          k = next.fetch_add(1)) {
       const std::size_t p = work[k];
       try {
+        ExplorerOptions lane_options = explorer_options;
+        lane_options.num_threads = runners;
         Explorer explorer(sub_traces[p], lane_options);
         // The per-phase searcher is pluggable (explorer_options.search):
         // greedy stays the default and the published flow; beam/anneal/...
