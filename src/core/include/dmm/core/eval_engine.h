@@ -40,9 +40,11 @@ struct EvalJob {
 ///
 /// `replayed_events` counts the trace events this outcome actually replayed
 /// (full event count for a cold replay, the suffix length for a resumed
-/// one, 0 for cache hits and checkpoint full-skips); `resumed` marks
-/// outcomes served via the incremental-replay checkpoint store.  Neither
-/// affects the score: `sim`/`work_steps` are bit-identical to a cold replay.
+/// one, the events up to the stop for a replay past its peak cutoff, 0 for
+/// cache hits and checkpoint full-skips); `resumed` marks outcomes served
+/// via the incremental-replay checkpoint store.  Neither affects the
+/// score: `sim`/`work_steps` are bit-identical to a cold replay (stopped
+/// at the same cutoff, for a cutoff job).
 struct EvalOutcome {
   std::uint64_t tag = 0;
   SimResult sim{};

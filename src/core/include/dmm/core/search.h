@@ -224,9 +224,10 @@ struct ExplorationResult {
   std::uint64_t evals_to_best = 0;
   /// Trace events actually replayed across all simulations: the full
   /// event count for a cold replay, only the resumed suffix for an
-  /// incremental one, zero for cache hits and full skips.  With
-  /// ExplorerOptions::incremental off this is simulations x trace length;
-  /// on, the gap between the two is the replay work saved.  Timing-
+  /// incremental one, the prefix up to the stop for an annealing replay
+  /// past its peak cutoff, zero for cache hits and full skips.  Without
+  /// those two savings this is simulations x trace length; the gap is the
+  /// replay work saved.  Timing-
   /// dependent across worker threads (which candidate replays cold first
   /// can differ), unlike every score above.
   std::uint64_t replayed_events = 0;
