@@ -296,10 +296,10 @@ SnapshotLoadResult SharedScoreCache::load(const std::string& path) {
     // Existing exact entries win: a key already cached in this process
     // carries a bit-identical score (replays are deterministic) and keeps
     // its in-process provenance for the hit accounting.  A lower-bound
-    // entry takes a stronger imported score by the usual upgrade rule.  Import goes through
-    // the bounded insert path, so loading a snapshot larger than the
-    // capacity bound keeps the most recently imported records (record
-    // order) and counts the displaced ones as evictions.
+    // entry takes a stronger imported score by the usual upgrade rule.
+    // Import goes through the bounded insert path, so loading a snapshot
+    // larger than the capacity bound keeps the most recently imported
+    // records (record order) and counts the displaced ones as evictions.
     if (insert_locked(shard, key, rec.entry, kPersistedSearchId)) ++imported;
   }
   persisted_entries_.fetch_add(imported, std::memory_order_relaxed);
