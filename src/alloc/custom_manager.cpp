@@ -331,70 +331,6 @@ CustomManager::FootprintBreakdown CustomManager::breakdown() const {
   return b;
 }
 
-std::unique_ptr<AllocatorState> CustomManager::save_state() const {
-  auto st = std::make_unique<State>();
-  st->old_base = arena_->slab_base();
-  st->pools.reserve(pools_.size());
-  for (const PoolEntry& e : pools_) {
-    st->pools.push_back({e.key, e.pool->fixed_block_size(), e.pool->save()});
-  }
-  st->chunks.reserve(chunk_index_.size());
-  chunk_index_.for_each([&](ChunkHeader* c) { st->chunks.push_back(c); });
-  st->big_cache = big_cache_;
-  st->big_cache_bytes = big_cache_bytes_;
-  // dmm-lint: allow(unordered-iter): restore re-inserts into a hash map
-  st->requested.assign(requested_.begin(), requested_.end());
-  st->routing_steps = routing_steps_;
-  st->static_exhausted = static_exhausted_;
-  st->stats = stats_;
-  return st;
-}
-
-bool CustomManager::restore_state(const AllocatorState& state) {
-  const auto* st = dynamic_cast<const State*>(&state);
-  if (st == nullptr) return false;
-  // The constructor-created roster must be a prefix of the snapshot's:
-  // both managers share the structure knobs, so they pre-create the same
-  // pools in the same order.  Anything else means the checkpoint layer's
-  // compatibility analysis was violated — fall back to cold replay.
-  if (st->pools.size() < pools_.size()) return false;
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    if (pools_[i].key != st->pools[i].key ||
-        pools_[i].pool->fixed_block_size() != st->pools[i].fixed_size) {
-      return false;
-    }
-  }
-  const std::byte* base = arena_->slab_base();
-  const std::ptrdiff_t delta =
-      (base != nullptr && st->old_base != nullptr) ? base - st->old_base : 0;
-  // Recreate the pools the captured run made dynamically, in creation
-  // order, so routing slots land on the same indices.
-  for (std::size_t i = pools_.size(); i < st->pools.size(); ++i) {
-    make_pool(st->pools[i].key, st->pools[i].fixed_size);
-  }
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    pools_[i].pool->restore(st->pools[i].snap, delta);
-  }
-  const auto fix_chunk = [delta](ChunkHeader* c) {
-    return reinterpret_cast<ChunkHeader*>(reinterpret_cast<std::byte*>(c) +
-                                          delta);
-  };
-  chunk_index_.clear();
-  for (ChunkHeader* c : st->chunks) chunk_index_.add(fix_chunk(c));
-  big_cache_.clear();
-  big_cache_.reserve(st->big_cache.size());
-  for (ChunkHeader* c : st->big_cache) big_cache_.push_back(fix_chunk(c));
-  big_cache_bytes_ = st->big_cache_bytes;
-  requested_.clear();
-  for (const auto& [p, size] : st->requested) {
-    requested_.emplace(static_cast<const std::byte*>(p) + delta, size);
-  }
-  routing_steps_ = st->routing_steps;
-  static_exhausted_ = st->static_exhausted;
-  stats_ = st->stats;
-  return true;
-}
-
 void CustomManager::check_integrity() const {
   for (const PoolEntry& e : pools_) e.pool->check_integrity();
   if (strict_ && requested_.size() != stats_.live_blocks) {

@@ -504,59 +504,4 @@ std::byte* FreeIndex::tree_take(std::size_t need, FitAlgorithm fit) {
   return found;
 }
 
-// ---------------------------------------------------------------------------
-// checkpoint save/restore
-// ---------------------------------------------------------------------------
-
-FreeIndex::Snapshot FreeIndex::save() const {
-  Snapshot snap;
-  snap.head = head_;
-  snap.tail = tail_;
-  snap.cursor = cursor_;
-  snap.root = root_;
-  snap.count = count_;
-  snap.bytes = bytes_;
-  snap.scan_steps = scan_steps_;
-  return snap;
-}
-
-void FreeIndex::restore(const Snapshot& snap, std::ptrdiff_t delta) {
-  const auto fix = [delta](std::byte* p) -> std::byte* {
-    return p == nullptr ? nullptr : p + delta;
-  };
-  head_ = fix(snap.head);
-  tail_ = fix(snap.tail);
-  cursor_ = fix(snap.cursor);
-  root_ = fix(snap.root);
-  count_ = snap.count;
-  bytes_ = snap.bytes;
-  scan_steps_ = snap.scan_steps;
-  if (delta == 0) return;  // restored slab bytes already hold valid links
-  if (ddt_ == BlockStructure::kSizeBinaryTree) {
-    // Each node is visited exactly once; the explicit stack tolerates the
-    // degenerate linear shapes an unbalanced BST can take.
-    std::vector<std::byte*> stack;
-    if (root_ != nullptr) stack.push_back(root_);
-    while (!stack.empty()) {
-      std::byte* b = stack.back();
-      stack.pop_back();
-      TreeNode* n = tree_node(b);
-      n->left = fix(n->left);
-      n->right = fix(n->right);
-      n->parent = fix(n->parent);
-      if (n->left != nullptr) stack.push_back(n->left);
-      if (n->right != nullptr) stack.push_back(n->right);
-    }
-    return;
-  }
-  // List walk: fix this node's links, then advance through the already
-  // fixed next pointer.  An SLL's prev word is untouched garbage by design.
-  for (std::byte* b = head_; b != nullptr;) {
-    ListNode* n = list_node(b);
-    n->next = fix(n->next);
-    if (doubly_linked()) n->prev = fix(n->prev);
-    b = n->next;
-  }
-}
-
 }  // namespace dmm::alloc

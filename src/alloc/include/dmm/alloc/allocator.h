@@ -3,20 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "dmm/sysmem/system_arena.h"
 
 namespace dmm::alloc {
-
-/// Opaque manager-state snapshot for the incremental-replay checkpoints.
-/// Concrete managers that support save_state()/restore_state() derive their
-/// own state type from this; everyone else returns nullptr and the replay
-/// layer falls back to cold evaluation.
-struct AllocatorState {
-  virtual ~AllocatorState() = default;
-};
 
 /// Operation counters and live-data accounting common to every manager.
 ///
@@ -72,24 +63,6 @@ class Allocator {
   /// Logical-phase hint (Sec. 3.3): phase-aware managers (GlobalManager)
   /// switch their active atomic manager here; everyone else ignores it.
   virtual void set_phase(std::uint16_t /*phase*/) {}
-
-  /// Deep-copies this manager's replay-relevant state (pool rosters, free
-  /// lists, counters) for a simulation checkpoint.  Default: unsupported
-  /// (nullptr) — only managers with fully deterministic, relocatable state
-  /// opt in.  Must be paired with the owning arena's ArenaSnapshot taken
-  /// at the same instant.
-  [[nodiscard]] virtual std::unique_ptr<AllocatorState> save_state() const {
-    return nullptr;
-  }
-
-  /// Restores state captured by save_state() on a *compatible* manager (one
-  /// whose structure-defining knobs match; the checkpoint layer guarantees
-  /// this via its prefix-invariance analysis).  The owning arena must
-  /// already have been restored from the paired ArenaSnapshot.  Returns
-  /// false if the snapshot is incompatible; the caller then replays cold.
-  [[nodiscard]] virtual bool restore_state(const AllocatorState& /*state*/) {
-    return false;
-  }
 
   [[nodiscard]] const AllocatorStats& stats() const { return stats_; }
   [[nodiscard]] sysmem::SystemArena& arena() { return *arena_; }

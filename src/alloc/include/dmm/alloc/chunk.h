@@ -116,23 +116,6 @@ class ChunkIndex {
 
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Drops every entry (checkpoint restore rebuilds the index wholesale).
-  void clear() {
-    table_.clear();
-    size_ = 0;
-  }
-
-  /// Visits every chunk in ascending base-address order (deterministic:
-  /// the table is slab-relative), for checkpoint capture.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    const ChunkHeader* prev = nullptr;
-    for (ChunkHeader* c : table_) {
-      if (c != nullptr && c != prev) fn(c);
-      prev = c;
-    }
-  }
-
  private:
   [[nodiscard]] static unsigned granule_shift(std::size_t page_size) {
     const std::size_t granule = std::max<std::size_t>(page_size, 16);

@@ -5,17 +5,17 @@
 
 namespace dmm::alloc {
 
-/// Knob-consultation groups for the incremental-replay prefix analysis.
+/// Knob-consultation groups for the incremental replay's full-skip test.
 ///
-/// The checkpointed replay (core/checkpoint.h) needs to know, for a given
-/// trace and baseline config, the first event at which each *group* of
-/// decision-tree knobs could have changed the manager's behaviour.  A
-/// candidate that differs from the baseline only in knobs whose groups were
-/// never consulted before event N behaves bit-identically on the prefix
-/// [0, N) and may resume from a checkpoint taken there.
+/// The full-skip store (core/checkpoint.h) needs to know, for a given
+/// trace and baseline config, whether each *group* of decision-tree knobs
+/// could ever have changed the manager's behaviour.  A candidate that
+/// differs from the baseline only in knobs whose groups the baseline never
+/// consulted (teardown included) replays bit-identically, so the
+/// baseline's stored final result is the candidate's result.
 ///
 /// Hooks fire at the decision *points* — before the config value gates the
-/// outcome — so "first consult" is valid for any pair of configs sharing
+/// outcome — so "never consulted" holds for any pair of configs sharing
 /// the hard (structure-defining) knobs:
 ///
 ///   * kFit      — a fit policy chose among >= 1 candidate free blocks.
@@ -32,8 +32,8 @@ namespace dmm::alloc {
 /// `KnobView` (dmm/alloc/knobs.h), whose accessors note their statically
 /// assigned group before returning the value — reading a soft knob IS
 /// consulting it.  Hard (structure-defining) knobs go through `HardKnobs`
-/// and are consult-free, because the checkpoint layer never shares a
-/// replay prefix across configs that differ in them (`hard_mismatch` in
+/// and are consult-free, because the full-skip store never reuses a result
+/// across configs that differ in them (`hard_mismatch` in
 /// core/checkpoint.cpp).  `tools/dmm_lint` rejects raw `DmmConfig` field
 /// reads outside the accessor layer and a short whitelist, so an
 /// unconsulted soft-knob read cannot merge.
@@ -49,24 +49,24 @@ enum class ConsultGroup : int {
 
 inline constexpr int kConsultGroups = 5;
 
-/// Per-replay record of the first event index at which each group was
-/// consulted.  `current_event` is advanced by the simulator; allocator
-/// hooks call note().  UINT64_MAX = never consulted (teardown included,
-/// because the simulator sets current_event = trace length before the
-/// final deallocation sweep).
+/// Per-replay record of the knob groups consulted so far: bit g of
+/// `consulted` is set once group g was consulted (allocator hooks call
+/// note()).  The simulator keeps the sink installed through its teardown
+/// sweep, so a clear bit means "never consulted", teardown included.
 struct ConsultSink {
-  std::uint64_t current_event = 0;
-  std::uint64_t first_consult[kConsultGroups] = {
-      UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX};
+  static_assert(kConsultGroups <= 8, "one bit per group in `consulted`");
+  std::uint8_t consulted = 0;
 
   void note(ConsultGroup g) {
-    auto& slot = first_consult[static_cast<int>(g)];
-    if (current_event < slot) slot = current_event;
+    consulted |= static_cast<std::uint8_t>(1u << static_cast<int>(g));
+  }
+  [[nodiscard]] bool was_consulted(ConsultGroup g) const {
+    return ((consulted >> static_cast<int>(g)) & 1u) != 0;
   }
 };
 
 /// The active sink is thread-local: replays on distinct engine workers
-/// instrument independently, and code outside a checkpointed replay pays
+/// instrument independently, and code outside an instrumented replay pays
 /// one TLS load + branch per hook.
 inline ConsultSink*& consult_sink_slot() {
   thread_local ConsultSink* sink = nullptr;

@@ -28,7 +28,7 @@ namespace dmm::alloc {
 /// every soft-knob read routed through the typed accessors below.  Ship it
 /// behind runtime::DesignedAllocator (src/runtime) when live concurrent
 /// malloc/free traffic, an OOM policy, or telemetry is needed; use it bare
-/// for replay, scoring, and checkpointing.
+/// for replay and scoring.
 ///
 /// The constructor aborts on decision vectors with *hard* interdependency
 /// violations (see config_rules.h); validate first with is_valid().
@@ -92,36 +92,6 @@ class CustomManager : public Allocator, private PoolHost {
   /// Snapshot of the current footprint decomposition.  Requires strict
   /// accounting (live_payload must be exact).
   [[nodiscard]] FootprintBreakdown breakdown() const;
-
-  /// Checkpoint image for incremental replay.  All chunk/block pointers are
-  /// capture-time slab addresses; restore_state relocates them against the
-  /// restoring arena's slab base.  Must be paired with the arena's
-  /// ArenaSnapshot captured at the same instant.
-  struct State : AllocatorState {
-    struct PoolImage {
-      std::size_t key = 0;
-      std::size_t fixed_size = 0;
-      Pool::Snapshot snap;
-    };
-    const std::byte* old_base = nullptr;  ///< slab base at capture
-    std::vector<PoolImage> pools;         ///< roster in creation order
-    std::vector<ChunkHeader*> chunks;     ///< every indexed chunk, addr order
-    std::vector<ChunkHeader*> big_cache;  ///< scan order is behaviour
-    std::size_t big_cache_bytes = 0;
-    std::vector<std::pair<const void*, std::size_t>> requested;
-    std::uint64_t routing_steps = 0;
-    bool static_exhausted = false;
-    AllocatorStats stats;
-  };
-
-  [[nodiscard]] std::unique_ptr<AllocatorState> save_state() const override;
-
-  /// Restores a State captured from a manager whose constructor-created
-  /// pool roster is a prefix of the snapshot's (guaranteed when the
-  /// structure-defining knobs match); creates the dynamically-made pools,
-  /// relocates every pointer, and rebuilds the chunk index.  Returns false
-  /// on a roster mismatch — the caller replays cold.
-  [[nodiscard]] bool restore_state(const AllocatorState& state) override;
 
  private:
   struct PoolEntry {

@@ -28,7 +28,7 @@ namespace dmm::alloc {
 /// knobs.h), and only at genuine decision points: the ordering knob when a
 /// block joins a non-empty index, the fit knob when at least two candidate
 /// blocks coexist (one, for trees, whose policies already diverge on a
-/// single node).  This is what keeps the checkpoint layer's consult table
+/// single node).  This is what keeps the full-skip store's consult table
 /// sound without hand-placed hooks.
 ///
 /// The index counts traversal steps (`scan_steps`) as an
@@ -91,28 +91,6 @@ class FreeIndex {
   /// Effective C2 discipline: the config's ordering knob, overridden to
   /// size-ordered by self-ordering DDTs.  Reading it consults kOrder.
   [[nodiscard]] FreeListOrder order() const { return discipline(); }
-
-  /// Checkpoint image of the index.  All pointers are raw block addresses
-  /// inside the arena slab *at capture time*; restore() relocates every
-  /// link word by the slab-base delta.  Structure knobs (ddt/order/layout/
-  /// fixed_size) are NOT captured — they belong to the restoring index's
-  /// own construction, which the checkpoint layer guarantees compatible.
-  struct Snapshot {
-    std::byte* head = nullptr;
-    std::byte* tail = nullptr;
-    std::byte* cursor = nullptr;
-    std::byte* root = nullptr;
-    std::size_t count = 0;
-    std::size_t bytes = 0;
-    std::uint64_t scan_steps = 0;
-  };
-
-  [[nodiscard]] Snapshot save() const;
-
-  /// Restores roots/counters from @p snap (pointers shifted by @p delta)
-  /// and walks the structure fixing every in-payload link word in place.
-  /// The slab bytes must already have been restored by the arena.
-  void restore(const Snapshot& snap, std::ptrdiff_t delta);
 
  private:
   // --- in-payload node overlays ---

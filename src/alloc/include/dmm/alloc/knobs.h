@@ -11,9 +11,9 @@ namespace dmm::alloc {
 // ---------------------------------------------------------------------------
 // Typed knob accessors: the consult-soundness layer.
 //
-// The incremental replay (core/checkpoint.h) is sound only if every runtime
-// read of a *soft* decision knob on an allocator decision path is paired
-// with a `note_consult()` of that knob's ConsultGroup.  Before this layer
+// The incremental replay's full skip (core/checkpoint.h) is sound only if
+// every runtime read of a *soft* decision knob on an allocator decision
+// path is paired with a `note_consult()` of that knob's ConsultGroup.  Before this layer
 // that pairing was a convention enforced by review: eight hand-placed hooks
 // against dozens of raw `cfg_.` field reads.  Now it is structural:
 //
@@ -26,11 +26,11 @@ namespace dmm::alloc {
 //     refactored call sites guarantee by gating the *read itself* (e.g. the
 //     ordering knob is read only when a second block joins a free index).
 //
-//   * `HardKnobs` exposes the structure-defining knobs that the checkpoint
-//     layer treats as hard (any difference invalidates the whole prefix —
-//     see `hard_mismatch` in core/checkpoint.cpp) plus the trace-pure
+//   * `HardKnobs` exposes the structure-defining knobs that the full-skip
+//     store treats as hard (any difference rules a full skip out — see
+//     `hard_mismatch` in core/checkpoint.cpp) plus the trace-pure
 //     big-request threshold.  Reads through it do not consult: candidates
-//     differing in a hard knob never share a prefix in the first place.
+//     differing in a hard knob never share a stored result.
 //
 // `tools/dmm_lint` closes the loop: raw `DmmConfig` field reads outside
 // this header and a short whitelist (canonical/hash/validation code) are
@@ -39,7 +39,7 @@ namespace dmm::alloc {
 
 /// Read-only view of the hard (structure-defining) knobs of a decision
 /// vector.  These shape construction, layout, routing or sizing globally;
-/// the checkpoint layer never shares a replay prefix across configs that
+/// the full-skip store never shares a stored result across configs that
 /// differ in any of them, so reading them is consult-free.
 ///
 /// The view holds a pointer: it must not outlive the config it wraps.
@@ -83,8 +83,8 @@ class HardKnobs {
     return cfg_->max_class_log2;
   }
   /// Trace-pure: a threshold move only matters for request sizes landing
-  /// between the two values, which the checkpoint planner bounds from the
-  /// trace itself (first_alloc_of_size) — no runtime consult needed.
+  /// between the two values, which the full-skip planner checks against
+  /// the trace itself (alloc_sizes) — no runtime consult needed.
   [[nodiscard]] std::size_t big_request_bytes() const {
     return cfg_->big_request_bytes;
   }
@@ -97,7 +97,7 @@ class HardKnobs {
 /// ConsultGroup on the active ConsultSink (a no-op outside instrumented
 /// replays) *before* returning the value: reading a soft knob IS consulting
 /// it.  Call sites must therefore read only at genuine decision points —
-/// the group-per-accessor mapping below mirrors `divergence_event` in
+/// the group-per-accessor mapping below mirrors `may_diverge` in
 /// core/checkpoint.cpp exactly.
 ///
 ///   kFit      — fit()

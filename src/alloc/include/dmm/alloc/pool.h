@@ -92,25 +92,6 @@ class Pool {
   /// each chunk exactly and that free bookkeeping matches the index.
   void check_integrity() const;
 
-  /// Checkpoint image of the pool: chunk-list roots and counters plus the
-  /// free-index image.  Chunk pointers are capture-time addresses; restore
-  /// relocates them and re-points every chunk's owner at *this* pool.
-  struct Snapshot {
-    ChunkHeader* chunks = nullptr;
-    ChunkHeader* carve_chunk = nullptr;
-    std::size_t chunk_count = 0;
-    std::size_t live_blocks = 0;
-    FreeIndex::Snapshot index;
-  };
-
-  [[nodiscard]] Snapshot save() const;
-
-  /// Restores from @p snap over an already-restored arena slab, shifting
-  /// every stored pointer by @p delta.  Any chunks this pool acquired
-  /// before the restore are dropped without release — the arena's state
-  /// was replaced wholesale, so they no longer exist as grants.
-  void restore(const Snapshot& snap, std::ptrdiff_t delta);
-
  private:
   [[nodiscard]] std::byte* carve(std::size_t block_size);
   /// Splits @p block (size @p have) for a @p need -byte allocation; the

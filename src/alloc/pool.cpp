@@ -414,34 +414,4 @@ void Pool::check_integrity() const {
   }
 }
 
-Pool::Snapshot Pool::save() const {
-  Snapshot snap;
-  snap.chunks = chunks_;
-  snap.carve_chunk = carve_chunk_;
-  snap.chunk_count = chunk_count_;
-  snap.live_blocks = live_blocks_;
-  snap.index = index_.save();
-  return snap;
-}
-
-void Pool::restore(const Snapshot& snap, std::ptrdiff_t delta) {
-  const auto fix = [delta](ChunkHeader* c) -> ChunkHeader* {
-    return c == nullptr ? nullptr
-                        : reinterpret_cast<ChunkHeader*>(
-                              reinterpret_cast<std::byte*>(c) + delta);
-  };
-  chunks_ = fix(snap.chunks);
-  carve_chunk_ = fix(snap.carve_chunk);
-  chunk_count_ = snap.chunk_count;
-  live_blocks_ = snap.live_blocks;
-  // Fix each header's links before advancing through them; owner is a heap
-  // pointer (not slab-relative) and must be re-pointed at *this* pool.
-  for (ChunkHeader* c = chunks_; c != nullptr; c = c->next) {
-    c->owner = this;
-    c->next = fix(c->next);
-    c->prev = fix(c->prev);
-  }
-  index_.restore(snap.index, delta);
-}
-
 }  // namespace dmm::alloc

@@ -1,8 +1,6 @@
 #include "dmm/core/checkpoint.h"
 
 #include <algorithm>
-#include <iterator>
-#include <limits>
 #include <utility>
 
 #include "dmm/alloc/policy_core.h"
@@ -11,10 +9,8 @@ namespace dmm::core {
 
 namespace {
 
-constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-
 /// Knobs that shape construction, layout, routing, or sizing globally:
-/// any difference invalidates the whole prefix (divergence at event 0).
+/// any difference rules a full skip out.
 bool hard_mismatch(const alloc::DmmConfig& a, const alloc::DmmConfig& b) {
   using alloc::PoolAdaptivity;
   if (a.block_structure != b.block_structure ||
@@ -70,57 +66,55 @@ int fit_class(const alloc::DmmConfig& c) {
 
 }  // namespace
 
-CheckpointStore::CheckpointStore() : CheckpointStore(Config()) {}
-
-CheckpointStore::CheckpointStore(Config cfg) : cfg_(cfg) {}
-
-std::uint64_t CheckpointStore::divergence_event(const TraceEntry& entry,
-                                                const Lineage& lineage,
-                                                const alloc::DmmConfig& canon) {
+bool CheckpointStore::may_diverge(const TraceEntry& entry,
+                                  const Lineage& lineage,
+                                  const alloc::DmmConfig& canon) {
   using alloc::ConsultGroup;
   const alloc::DmmConfig& base = lineage.canon;
-  if (base == canon) return kNever;
-  if (hard_mismatch(base, canon)) return 0;
-  const auto group = [&lineage](ConsultGroup g) {
-    return lineage.first_consult[static_cast<int>(g)];
+  if (base == canon) return false;
+  if (hard_mismatch(base, canon)) return true;
+  const auto consulted = [&lineage](ConsultGroup g) {
+    return lineage.consult.was_consulted(g);
   };
-  std::uint64_t d = kNever;
-  const auto lower = [&d](std::uint64_t v) { d = std::min(d, v); };
-  if (base.flexible != canon.flexible) {
-    lower(std::min(group(ConsultGroup::kSplit), group(ConsultGroup::kCoalesce)));
+  if (base.flexible != canon.flexible &&
+      (consulted(ConsultGroup::kSplit) || consulted(ConsultGroup::kCoalesce))) {
+    return true;
   }
-  if (base.split_sizes != canon.split_sizes ||
-      base.split_when != canon.split_when ||
-      base.deferred_split_min != canon.deferred_split_min) {
-    lower(group(ConsultGroup::kSplit));
+  if ((base.split_sizes != canon.split_sizes ||
+       base.split_when != canon.split_when ||
+       base.deferred_split_min != canon.deferred_split_min) &&
+      consulted(ConsultGroup::kSplit)) {
+    return true;
   }
-  if (base.coalesce_sizes != canon.coalesce_sizes ||
-      base.coalesce_when != canon.coalesce_when) {
-    lower(group(ConsultGroup::kCoalesce));
+  if ((base.coalesce_sizes != canon.coalesce_sizes ||
+       base.coalesce_when != canon.coalesce_when) &&
+      consulted(ConsultGroup::kCoalesce)) {
+    return true;
   }
-  if (base.order != canon.order) lower(group(ConsultGroup::kOrder));
-  if (base.fit != canon.fit && fit_class(base) != fit_class(canon)) {
-    lower(group(ConsultGroup::kFit));
+  if (base.order != canon.order && consulted(ConsultGroup::kOrder)) {
+    return true;
   }
-  if (base.adaptivity != canon.adaptivity) {
-    lower(group(ConsultGroup::kShrink));
+  if (base.fit != canon.fit && fit_class(base) != fit_class(canon) &&
+      consulted(ConsultGroup::kFit)) {
+    return true;
+  }
+  if (base.adaptivity != canon.adaptivity &&
+      consulted(ConsultGroup::kShrink)) {
+    return true;
   }
   if (base.big_request_bytes != canon.big_request_bytes) {
     // Trace-pure bound: the threshold only matters for request sizes that
-    // land between the two values; the first such allocation (if any) is
-    // where routing diverges.
+    // land between the two values; routing diverges iff the trace
+    // allocates one.
     const std::uint64_t lo =
         std::min(base.big_request_bytes, canon.big_request_bytes);
     const std::uint64_t hi =
         std::max(base.big_request_bytes, canon.big_request_bytes);
-    std::uint64_t first = kNever;
-    // dmm-lint: allow(unordered-iter): order-independent min fold
-    for (const auto& [size, event] : entry.first_alloc_of_size) {
-      if (size >= lo && size < hi) first = std::min(first, event);
-    }
-    lower(first);
+    const auto it = std::lower_bound(entry.alloc_sizes.begin(),
+                                     entry.alloc_sizes.end(), lo);
+    if (it != entry.alloc_sizes.end() && *it < hi) return true;
   }
-  return d;
+  return false;
 }
 
 void CheckpointStore::prepare_trace(std::uint64_t trace_fingerprint,
@@ -129,19 +123,20 @@ void CheckpointStore::prepare_trace(std::uint64_t trace_fingerprint,
   TraceEntry& entry = traces_[trace_fingerprint];
   if (entry.prepared) return;
   entry.prepared = true;
-  entry.total_events = trace.event_count();
+  std::vector<std::uint64_t>& sizes = entry.alloc_sizes;
   const std::unique_ptr<TraceCursor> cur = trace.cursor();
-  std::uint64_t i = 0;
   const AllocEvent* run = nullptr;
   std::size_t n = 0;
   while ((n = cur->next(&run)) != 0) {
-    for (std::size_t k = 0; k < n; ++k, ++i) {
+    for (std::size_t k = 0; k < n; ++k) {
       const AllocEvent& e = run[k];
       if (e.op != AllocEvent::Op::kAlloc) continue;
       // allocate() floors zero-byte requests to one byte before routing.
-      const std::uint64_t size = e.size == 0 ? 1 : e.size;
-      entry.first_alloc_of_size.emplace(size, i);  // keeps the first event
+      sizes.push_back(e.size == 0 ? 1 : e.size);
     }
+    // Dedup per run keeps the scratch list at distinct sizes, not events.
+    std::sort(sizes.begin(), sizes.end());
+    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
   }
 }
 
@@ -151,51 +146,27 @@ CheckpointStore::Plan CheckpointStore::plan(std::uint64_t trace_fingerprint,
   TraceEntry& entry = traces_[trace_fingerprint];
   ++use_tick_;
   Plan out;
-  Lineage* best_lineage = nullptr;
-  std::shared_ptr<const Checkpoint> best_cp;
   for (const auto& lptr : entry.lineages) {
     Lineage& lineage = *lptr;
-    const std::uint64_t d = divergence_event(entry, lineage, canon);
-    if (d == kNever) {
-      // Never consulted a differing knob, teardown included: the stored
-      // final result IS this candidate's result.
-      lineage.last_used = use_tick_;
-      out.kind = Plan::Kind::kFullSkip;
-      out.final_sim = lineage.final_sim;
-      out.final_work = lineage.final_work;
-      full_skips_.fetch_add(1, std::memory_order_relaxed);
-      return out;
-    }
-    if (d == 0) continue;
-    // Latest checkpoint at or before the divergence event (state after
-    // `event` events is valid while the first differing consult is >= it).
-    for (auto it = lineage.checkpoints.rbegin();
-         it != lineage.checkpoints.rend(); ++it) {
-      if ((*it)->event <= d) {
-        if (best_cp == nullptr || (*it)->event > best_cp->event) {
-          best_cp = *it;
-          best_lineage = &lineage;
-        }
-        break;
-      }
-    }
-  }
-  if (best_cp != nullptr && best_cp->event > 0) {
-    best_lineage->last_used = use_tick_;
-    out.kind = Plan::Kind::kResume;
-    out.checkpoint = std::move(best_cp);
-    resumes_.fetch_add(1, std::memory_order_relaxed);
+    if (may_diverge(entry, lineage, canon)) continue;
+    // Never consulted a differing knob, teardown included: the stored
+    // final result IS this candidate's result.
+    lineage.last_used = use_tick_;
+    out.full_skip = true;
+    out.final_sim = lineage.final_sim;
+    out.final_work = lineage.final_work;
+    full_skips_.fetch_add(1, std::memory_order_relaxed);
     return out;
   }
   cold_replays_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 
-void CheckpointStore::publish(
-    std::uint64_t trace_fingerprint, const alloc::DmmConfig& canon,
-    const alloc::ConsultSink& consult,
-    std::vector<std::shared_ptr<const Checkpoint>> checkpoints,
-    const SimResult& final_sim, std::uint64_t final_work) {
+void CheckpointStore::publish(std::uint64_t trace_fingerprint,
+                              const alloc::DmmConfig& canon,
+                              const alloc::ConsultSink& consult,
+                              const SimResult& final_sim,
+                              std::uint64_t final_work) {
   const std::lock_guard<std::mutex> lock(m_);
   TraceEntry& entry = traces_[trace_fingerprint];
   for (const auto& lptr : entry.lineages) {
@@ -204,15 +175,11 @@ void CheckpointStore::publish(
   ++use_tick_;
   auto lineage = std::make_unique<Lineage>();
   lineage->canon = canon;
-  std::copy(std::begin(consult.first_consult), std::end(consult.first_consult),
-            std::begin(lineage->first_consult));
-  lineage->checkpoints = std::move(checkpoints);
+  lineage->consult = consult;
   lineage->final_sim = final_sim;
   lineage->final_work = final_work;
   lineage->last_used = use_tick_;
-  captures_.fetch_add(lineage->checkpoints.size(), std::memory_order_relaxed);
-  if (entry.lineages.size() >= cfg_.max_lineages_per_trace &&
-      !entry.lineages.empty()) {
+  if (entry.lineages.size() >= kMaxLineagesPerTrace) {
     auto victim = std::min_element(
         entry.lineages.begin(), entry.lineages.end(),
         [](const auto& a, const auto& b) { return a->last_used < b->last_used; });
@@ -231,9 +198,7 @@ void CheckpointStore::note_verified(bool ok) {
 
 CheckpointStore::Stats CheckpointStore::stats() const {
   Stats s;
-  s.captures = captures_.load(std::memory_order_relaxed);
   s.cold_replays = cold_replays_.load(std::memory_order_relaxed);
-  s.resumes = resumes_.load(std::memory_order_relaxed);
   s.full_skips = full_skips_.load(std::memory_order_relaxed);
   s.verified_ok = verified_ok_.load(std::memory_order_relaxed);
   s.verify_failures = verify_failures_.load(std::memory_order_relaxed);
@@ -247,8 +212,8 @@ void CheckpointStore::clear() {
 
 namespace {
 
-/// Cold replay that instruments the run (consult sink + checkpoint
-/// captures) and publishes the resulting lineage.
+/// Cold replay that records the consult table and publishes the resulting
+/// lineage.
 EvalOutcome replay_cold_publishing(const TraceSource& trace,
                                    const EvalJob& job,
                                    CheckpointStore& store,
@@ -256,66 +221,19 @@ EvalOutcome replay_cold_publishing(const TraceSource& trace,
   EvalOutcome out;
   out.tag = job.tag;
   sysmem::SystemArena arena;
-  // Replay adapter: checkpoint capture drives the bare policy core (see
-  // alloc/policy_core.h) — save_state()/restore_state() are core-level
-  // images; the runtime front's caches are invisible here by design.
+  // Replay adapter: the bare policy core (see alloc/policy_core.h), the
+  // same one score_candidate replays — the runtime front's caches are
+  // invisible here by design.
   alloc::PolicyCore mgr(arena, job.cfg, "candidate",
                         /*strict_accounting=*/false);
   alloc::ConsultSink sink;
-  std::vector<std::shared_ptr<const Checkpoint>> checkpoints;
   SimReplayOptions opts;
   opts.consult = &sink;
-  opts.capture_interval = store.config().capture_interval;
-  opts.capture_dense_prefix = store.config().dense_prefix;
-  opts.capture = [&](const SimProgress& progress) {
-    // A phase boundary can coincide with an interval point.
-    if (!checkpoints.empty() && checkpoints.back()->event == progress.events) {
-      return;
-    }
-    auto cp = std::make_shared<Checkpoint>();
-    cp->event = progress.events;
-    cp->arena = arena.save_state();
-    cp->manager =
-        std::shared_ptr<const alloc::AllocatorState>(mgr.save_state());
-    cp->progress = progress;
-    checkpoints.push_back(std::move(cp));
-  };
   out.sim = simulate(trace, mgr, opts);
   out.work_steps = mgr.work_steps();
   out.replayed_events = out.sim.events;
-  store.publish(trace_fingerprint, alloc::canonical(job.cfg), sink,
-                std::move(checkpoints), out.sim, out.work_steps);
-  return out;
-}
-
-/// Resume path: fresh arena + candidate manager, both rewound to the
-/// checkpoint image, then the trace suffix replays under candidate knobs.
-EvalOutcome replay_resumed(const TraceSource& trace, const EvalJob& job,
-                           const Checkpoint& cp) {
-  sysmem::SystemArena arena;
-  // Resume adapter: same bare policy core as the cold path — resuming
-  // into the deployable front would be unsound (its thread caches are not
-  // part of the checkpoint image, nor may they ever be).
-  alloc::PolicyCore mgr(arena, job.cfg, "candidate",
-                        /*strict_accounting=*/false);
-  // Both restores check before they mutate, so a refusal leaves a
-  // coherent pair behind (unreachable anyway: plan() gated on the hard
-  // knobs that guarantee compatibility).
-  if (!arena.restore_state(cp.arena) || !mgr.restore_state(*cp.manager)) {
-    return score_candidate(trace, job);
-  }
-  EvalOutcome out;
-  out.tag = job.tag;
-  SimReplayOptions opts;
-  opts.resume = &cp.progress;
-  const std::byte* base = arena.slab_base();
-  opts.resume_delta = (base != nullptr && cp.arena.old_base != nullptr)
-                          ? base - cp.arena.old_base
-                          : 0;
-  out.sim = simulate(trace, mgr, opts);
-  out.work_steps = mgr.work_steps();
-  out.replayed_events = trace.event_count() - cp.event;
-  out.resumed = true;
+  store.publish(trace_fingerprint, alloc::canonical(job.cfg), sink, out.sim,
+                out.work_steps);
   return out;
 }
 
@@ -327,37 +245,33 @@ EvalOutcome score_candidate_incremental(const TraceSource& trace,
                                         std::uint64_t trace_fingerprint,
                                         bool verify) {
   store.prepare_trace(trace_fingerprint, trace);
-  const alloc::DmmConfig canon = alloc::canonical(job.cfg);
-  const CheckpointStore::Plan plan = store.plan(trace_fingerprint, canon);
-  if (plan.kind == CheckpointStore::Plan::Kind::kCold) {
+  const CheckpointStore::Plan plan =
+      store.plan(trace_fingerprint, alloc::canonical(job.cfg));
+  if (!plan.full_skip) {
     return replay_cold_publishing(trace, job, store, trace_fingerprint);
   }
-  EvalOutcome inc;
-  if (plan.kind == CheckpointStore::Plan::Kind::kFullSkip) {
-    inc.tag = job.tag;
-    inc.sim = plan.final_sim;
-    inc.work_steps = plan.final_work;
-    inc.resumed = true;
-  } else {
-    inc = replay_resumed(trace, job, *plan.checkpoint);
-  }
-  if (!verify) return inc;
-  // Verification: the resumed result must be bit-identical to a cold
-  // replay in every deterministic field (wall time excluded).  The cold
-  // result is returned either way, so verify runs never depend on the
-  // incremental machinery for correctness.
+  EvalOutcome skip;
+  skip.tag = job.tag;
+  skip.sim = plan.final_sim;
+  skip.work_steps = plan.final_work;
+  skip.full_skip = true;
+  if (!verify) return skip;
+  // Verification: the stored result must be bit-identical to a cold replay
+  // in every deterministic field (wall time excluded).  The cold result is
+  // returned either way, so verify runs never depend on the incremental
+  // machinery for correctness.
   EvalOutcome cold = score_candidate(trace, job);
-  const bool equal = cold.sim.peak_footprint == inc.sim.peak_footprint &&
-                     cold.sim.final_footprint == inc.sim.final_footprint &&
-                     cold.sim.avg_footprint == inc.sim.avg_footprint &&
-                     cold.sim.peak_live_bytes == inc.sim.peak_live_bytes &&
-                     cold.sim.failed_allocs == inc.sim.failed_allocs &&
-                     cold.sim.events == inc.sim.events &&
-                     cold.work_steps == inc.work_steps;
+  const bool equal = cold.sim.peak_footprint == skip.sim.peak_footprint &&
+                     cold.sim.final_footprint == skip.sim.final_footprint &&
+                     cold.sim.avg_footprint == skip.sim.avg_footprint &&
+                     cold.sim.peak_live_bytes == skip.sim.peak_live_bytes &&
+                     cold.sim.failed_allocs == skip.sim.failed_allocs &&
+                     cold.sim.events == skip.sim.events &&
+                     cold.work_steps == skip.work_steps;
   store.note_verified(equal);
   if (equal) {
-    cold.replayed_events = inc.replayed_events;
-    cold.resumed = inc.resumed;
+    cold.replayed_events = 0;
+    cold.full_skip = true;
   }
   return cold;
 }

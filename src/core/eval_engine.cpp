@@ -292,7 +292,7 @@ void EvalEngine::stream_begin(const TraceSource& trace,
   streaming_ = true;
   stream_trace_ = &trace;
   stream_cache_ = cache;
-  // The fingerprint keys the checkpoint store; skip the O(events) hash
+  // The fingerprint keys the full-skip store; skip the O(events) hash
   // when no store is configured.
   stream_trace_fp_ = checkpoints_ != nullptr ? trace.fingerprint() : 0;
   slots_.clear();
@@ -392,8 +392,8 @@ void EvalEngine::configure_incremental(std::shared_ptr<CheckpointStore> store,
 }
 
 EvalOutcome EvalEngine::compute(const EvalJob& job) const {
-  // A cutoff replay is cold: the checkpoint store resumes and captures
-  // whole replays only, and a stopped one would be neither.
+  // A cutoff replay is cold: the full-skip store holds and serves whole
+  // replays only, and a stopped one is not.
   if (checkpoints_ != nullptr && job.peak_cutoff == 0) {
     return score_candidate_incremental(*stream_trace_, job, *checkpoints_,
                                        stream_trace_fp_, verify_incremental_);

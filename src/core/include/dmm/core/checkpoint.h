@@ -8,98 +8,65 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dmm/alloc/allocator.h"
 #include "dmm/alloc/config.h"
 #include "dmm/alloc/consult.h"
 #include "dmm/core/eval_engine.h"
 #include "dmm/core/simulator.h"
 #include "dmm/core/trace.h"
-#include "dmm/sysmem/system_arena.h"
 
 namespace dmm::core {
 
-/// One resumable point of a baseline replay: the full deterministic
-/// simulation state after `event` trace events — the arena slab image, the
-/// manager's pool/free-list/chunk state (capture-time pointers, relocated
-/// on restore), and the simulator's own accumulators and live-object map.
-struct Checkpoint {
-  std::uint64_t event = 0;
-  sysmem::ArenaSnapshot arena;
-  std::shared_ptr<const alloc::AllocatorState> manager;
-  SimProgress progress;
-};
-
-/// Cross-candidate checkpoint store for incremental replay.
+/// Cross-candidate full-skip store for incremental replay.
 ///
 /// A *lineage* is one cold ("baseline") replay of a canonical decision
-/// vector over one trace, together with the checkpoints captured along it
-/// and its consult table: for each knob group (see alloc/consult.h), the
-/// first event at which the baseline's behaviour actually consulted that
-/// group's knobs.  A candidate differing from the baseline only in knobs
-/// whose groups were first consulted at or after event N provably replays
-/// the identical prefix [0, N) — so it can resume from the latest
-/// checkpoint at or before N instead of replaying cold.  A candidate whose
-/// differing groups were *never* consulted (teardown included) is served
-/// the lineage's final result outright (a "full skip").
+/// vector over one trace, together with its final result and its consult
+/// table: for each knob group (see alloc/consult.h), whether the
+/// baseline's behaviour ever consulted that group's knobs.  A candidate
+/// differing from the baseline only in knobs whose groups were *never*
+/// consulted (teardown included) replays bit-identically, so it is served
+/// the lineage's final result outright (a "full skip").  Every other
+/// candidate replays cold and publishes a lineage of its own.
 ///
 /// The analysis is conservative: hard knobs (layout, pool structure,
-/// sizing thresholds, static preallocation) always invalidate at event 0,
-/// and every consult hook fires at the decision *point*, before the
-/// config gates, so divergence bounds hold for any candidate pair sharing
-/// the hard knobs.  Resumed scores are bit-identical to cold replays —
-/// verify mode (see score_candidate_incremental) cross-checks exactly
-/// that, field by field.
+/// sizing thresholds, static preallocation) always rule a skip out, and
+/// every consult hook fires at the decision *point*, before the config
+/// gates, so the consult table holds for any candidate pair sharing the
+/// hard knobs.  Skipped scores are bit-identical to cold replays — verify
+/// mode (see score_candidate_incremental) cross-checks exactly that,
+/// field by field.
 ///
-/// Thread-safe: plan/publish take one mutex; checkpoint payloads are
-/// immutable and shared by reference, so replays never hold the lock.
+/// Thread-safe: plan/publish take one mutex; replays never hold it.
 class CheckpointStore {
  public:
-  struct Config {
-    /// Events between periodic checkpoints (phase boundaries and the
-    /// end-of-trace point are always captured on top).
-    std::uint64_t capture_interval = 1024;
-    /// Also checkpoint at power-of-two events below the interval: the
-    /// first consult of each knob group — the divergence bound the
-    /// analysis produces — usually lands in the first few hundred events,
-    /// where an exponential grid puts a usable resume point within 2x of
-    /// every divergence for ~10 cheap (small-prefix) extra snapshots.
-    bool dense_prefix = true;
-    /// Baseline lineages kept per trace (least-recently-used eviction).
-    std::size_t max_lineages_per_trace = 8;
-  };
+  /// Baseline lineages kept per trace (least-recently-used eviction).
+  static constexpr std::size_t kMaxLineagesPerTrace = 8;
 
   /// Monotonic counters (relaxed atomics; exact in single-thread runs).
   struct Stats {
-    std::uint64_t captures = 0;       ///< checkpoints recorded
-    std::uint64_t cold_replays = 0;   ///< plans that found nothing to reuse
-    std::uint64_t resumes = 0;        ///< plans served from a checkpoint
-    std::uint64_t full_skips = 0;     ///< plans served a stored final result
-    std::uint64_t verified_ok = 0;    ///< verify passes that matched
+    std::uint64_t cold_replays = 0;     ///< plans that found nothing to reuse
+    std::uint64_t full_skips = 0;       ///< plans served a stored final result
+    std::uint64_t verified_ok = 0;      ///< verify passes that matched
     std::uint64_t verify_failures = 0;  ///< verify passes that diverged
   };
 
-  CheckpointStore();  ///< default Config
-  explicit CheckpointStore(Config cfg);
-
-  [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] Stats stats() const;
   void clear();
 
-  /// How to evaluate one candidate, per the divergence analysis.
+  /// How to evaluate one candidate: a stored final result (full skip) or,
+  /// when none provably applies, a cold replay.
   struct Plan {
-    enum class Kind : std::uint8_t { kCold, kResume, kFullSkip };
-    Kind kind = Kind::kCold;
-    std::shared_ptr<const Checkpoint> checkpoint;  ///< kResume
-    SimResult final_sim{};                         ///< kFullSkip
-    std::uint64_t final_work = 0;                  ///< kFullSkip
+    bool full_skip = false;
+    SimResult final_sim{};        ///< full_skip only
+    std::uint64_t final_work = 0;  ///< full_skip only
   };
 
-  /// Builds the per-trace divergence tables on first touch (one linear
+  /// Builds the per-trace request-size table on first touch (one linear
   /// scan).  Must be called before plan()/publish() for the trace.
   void prepare_trace(std::uint64_t trace_fingerprint,
                      const TraceSource& trace);
 
-  /// Picks the cheapest provably-safe evaluation for @p canon.
+  /// Serves @p canon a stored final result when some lineage provably
+  /// equals it; otherwise plans a cold replay.
   [[nodiscard]] Plan plan(std::uint64_t trace_fingerprint,
                           const alloc::DmmConfig& canon);
 
@@ -107,54 +74,49 @@ class CheckpointStore {
   /// publisher of a canonical vector wins; over-full tables evict the
   /// least-recently-used lineage).
   void publish(std::uint64_t trace_fingerprint, const alloc::DmmConfig& canon,
-               const alloc::ConsultSink& consult,
-               std::vector<std::shared_ptr<const Checkpoint>> checkpoints,
-               const SimResult& final_sim, std::uint64_t final_work);
+               const alloc::ConsultSink& consult, const SimResult& final_sim,
+               std::uint64_t final_work);
 
   void note_verified(bool ok);
 
  private:
   struct Lineage {
     alloc::DmmConfig canon{};
-    std::uint64_t first_consult[alloc::kConsultGroups] = {};
-    std::vector<std::shared_ptr<const Checkpoint>> checkpoints;  ///< by event
+    alloc::ConsultSink consult{};
     SimResult final_sim{};
     std::uint64_t final_work = 0;
     std::uint64_t last_used = 0;
   };
   struct TraceEntry {
     bool prepared = false;
-    std::uint64_t total_events = 0;
-    /// Trace-pure routing table: request size -> first event that allocates
-    /// it (divergence bound for big_request_bytes threshold moves).
-    std::unordered_map<std::uint64_t, std::uint64_t> first_alloc_of_size;
+    /// Trace-pure routing table: the distinct request sizes the trace
+    /// allocates, sorted (a big_request_bytes move matters only if one of
+    /// them lands between the two thresholds).
+    std::vector<std::uint64_t> alloc_sizes;
     std::vector<std::unique_ptr<Lineage>> lineages;
   };
 
-  [[nodiscard]] static std::uint64_t divergence_event(
-      const TraceEntry& entry, const Lineage& lineage,
-      const alloc::DmmConfig& canon);
+  /// True unless replaying @p canon provably matches @p lineage's replay.
+  [[nodiscard]] static bool may_diverge(const TraceEntry& entry,
+                                        const Lineage& lineage,
+                                        const alloc::DmmConfig& canon);
 
-  Config cfg_;
   mutable std::mutex m_;
   std::unordered_map<std::uint64_t, TraceEntry> traces_;
   std::uint64_t use_tick_ = 0;
 
-  std::atomic<std::uint64_t> captures_{0};
   std::atomic<std::uint64_t> cold_replays_{0};
-  std::atomic<std::uint64_t> resumes_{0};
   std::atomic<std::uint64_t> full_skips_{0};
   std::atomic<std::uint64_t> verified_ok_{0};
   std::atomic<std::uint64_t> verify_failures_{0};
 };
 
-/// Scores @p job against @p trace through @p store: plans via the
-/// divergence analysis, then cold-replays (capturing a new lineage),
-/// resumes from a checkpoint, or serves a stored final result.  With
-/// @p verify every resumed/skipped evaluation also replays cold and all
-/// deterministic SimResult fields plus work_steps are compared bit for
-/// bit; the cold result is returned and mismatches are counted on the
-/// store.  Safe from any thread.
+/// Scores @p job against @p trace through @p store: serves a stored final
+/// result when the consult table proves it applies (a full skip), else
+/// cold-replays and publishes a new lineage.  With @p verify every full
+/// skip also replays cold and all deterministic SimResult fields plus
+/// work_steps are compared bit for bit; the cold result is returned and
+/// mismatches are counted on the store.  Safe from any thread.
 [[nodiscard]] EvalOutcome score_candidate_incremental(
     const TraceSource& trace, const EvalJob& job, CheckpointStore& store,
     std::uint64_t trace_fingerprint, bool verify);

@@ -28,7 +28,8 @@ namespace dmm::core {
 /// The replay then stops once its running peak passes the cutoff and the
 /// outcome comes back with `sim.stopped` set and a lower-bound peak; a
 /// cache may answer such a job with a lower-bound entry already above the
-/// cutoff.  A cutoff job always replays cold, never from a checkpoint.
+/// cutoff.  A cutoff job always replays cold, never from the full-skip
+/// store.
 struct EvalJob {
   alloc::DmmConfig cfg{};
   std::uint64_t tag = 0;
@@ -39,10 +40,10 @@ struct EvalJob {
 /// without a trace replay (memoized, or a duplicate within the batch).
 ///
 /// `replayed_events` counts the trace events this outcome actually replayed
-/// (full event count for a cold replay, the suffix length for a resumed
-/// one, the events up to the stop for a replay past its peak cutoff, 0 for
-/// cache hits and checkpoint full-skips); `resumed` marks outcomes served
-/// via the incremental-replay checkpoint store.  Neither affects the
+/// (full event count for a cold replay, the events up to the stop for a
+/// replay past its peak cutoff, 0 for cache hits and full skips);
+/// `full_skip` marks outcomes served a stored final result by the
+/// incremental-replay store (core/checkpoint.h).  Neither affects the
 /// score: `sim`/`work_steps` are bit-identical to a cold replay (stopped
 /// at the same cutoff, for a cutoff job).
 struct EvalOutcome {
@@ -51,7 +52,7 @@ struct EvalOutcome {
   std::uint64_t work_steps = 0;
   bool from_cache = false;
   std::uint64_t replayed_events = 0;
-  bool resumed = false;
+  bool full_skip = false;
 };
 
 /// The caching seam every engine consults during evaluate(): a memoized
@@ -439,11 +440,11 @@ class EvalEngine {
   /// order), and closes the session.
   [[nodiscard]] std::vector<EvalOutcome> stream_drain();
 
-  /// Routes this engine's replays through the incremental checkpoint
-  /// store (nullptr restores cold replays).  With @p verify every resumed
-  /// or skipped evaluation also replays cold and the results are compared
-  /// bit-for-bit (the cold result wins; mismatches are counted on the
-  /// store).  Takes effect at the next stream_begin/evaluate.
+  /// Routes this engine's replays through the incremental full-skip store
+  /// (nullptr restores cold replays).  With @p verify every full skip also
+  /// replays cold and the results are compared bit-for-bit (the cold
+  /// result wins; mismatches are counted on the store).  Takes effect at
+  /// the next stream_begin/evaluate.
   void configure_incremental(std::shared_ptr<CheckpointStore> store,
                              bool verify = false);
 

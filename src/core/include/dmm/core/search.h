@@ -133,22 +133,21 @@ struct ExplorerOptions {
   /// on for coverage, leave it off for an apples-to-apples budget
   /// comparison.
   bool canonical_prune_random = false;
-  /// Incremental replay: capture simulation checkpoints during cold
-  /// (baseline) replays and, for candidates that provably share a replay
-  /// prefix with a baseline (the consult-group divergence analysis in
-  /// core/checkpoint.h), resume from the latest safe checkpoint — or skip
-  /// the replay entirely when no differing knob group is ever consulted.
-  /// Scores and search outcomes are bit-identical with this on or off;
-  /// only the replayed-event counters shift.
+  /// Incremental replay: record which knob groups each cold (baseline)
+  /// replay consulted and keep its final result; a candidate that differs
+  /// from a baseline only in knob groups that baseline never consulted
+  /// (core/checkpoint.h) is served that result without any replay (a full
+  /// skip).  Scores and search outcomes are bit-identical with this on or
+  /// off; only the replayed-event counters shift.
   bool incremental = false;
-  /// Cross-check every resumed/skipped evaluation against a cold replay
-  /// (all deterministic SimResult fields plus work_steps, bit for bit) and
-  /// count mismatches on the store.  Debug/CI knob: it forfeits the
-  /// speedup, so leave it off in production runs.
+  /// Cross-check every full skip against a cold replay (all deterministic
+  /// SimResult fields plus work_steps, bit for bit) and count mismatches
+  /// on the store.  Debug/CI knob: it forfeits the speedup, so leave it
+  /// off in production runs.
   bool verify_incremental = false;
-  /// The checkpoint store to use when `incremental` is set.  Share one
+  /// The full-skip store to use when `incremental` is set.  Share one
   /// across explorers to reuse baselines between searches; when null the
-  /// Explorer creates a private store with default limits.
+  /// Explorer creates a private store.
   std::shared_ptr<CheckpointStore> checkpoints;
   /// The strategy Explorer::run() (no arguments) executes; the CLIs'
   /// `--search` flag and MethodologyOptions land here.  The explicit
@@ -223,20 +222,16 @@ struct ExplorationResult {
   /// commit their completion only at the end, so theirs equals the total.
   std::uint64_t evals_to_best = 0;
   /// Trace events actually replayed across all simulations: the full
-  /// event count for a cold replay, only the resumed suffix for an
-  /// incremental one, the prefix up to the stop for an annealing replay
-  /// past its peak cutoff, zero for cache hits and full skips.  Without
-  /// those two savings this is simulations x trace length; the gap is the
-  /// replay work saved.  Timing-
-  /// dependent across worker threads (which candidate replays cold first
-  /// can differ), unlike every score above.
+  /// event count for a cold replay, the prefix up to the stop for an
+  /// annealing replay past its peak cutoff, zero for cache hits and full
+  /// skips.  Without those savings this is simulations x trace length;
+  /// the gap is the replay work saved.  Timing-dependent across worker
+  /// threads (which candidate replays cold first can differ), unlike
+  /// every score above.
   std::uint64_t replayed_events = 0;
-  /// Evaluations served by resuming from a checkpoint or by a stored
-  /// final result (subset of simulations; 0 with incremental off).
-  std::uint64_t resumed_evals = 0;
-  /// Subset of resumed_evals served a stored final result with no replay
-  /// at all (the divergence analysis proved no differing knob group is
-  /// ever consulted).
+  /// Evaluations served a stored final result with no replay at all
+  /// (subset of simulations; 0 with incremental off): the consult table
+  /// proved no differing knob group is ever consulted.
   std::uint64_t full_skips = 0;
   /// Per-child attribution of a PortfolioSearch run, in child order
   /// (empty for every other strategy).  `steps` holds the winning child's

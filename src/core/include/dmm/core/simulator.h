@@ -48,33 +48,6 @@ struct TimelinePoint {
   std::size_t live_bytes = 0;
 };
 
-/// One live (allocated, not yet freed) object at a checkpoint boundary.
-/// `ptr` is the payload address *at capture time*; a resume into a fresh
-/// arena relocates it by the slab-base delta (SimReplayOptions::resume_delta).
-struct SimLiveObj {
-  std::uint32_t id = 0;
-  void* ptr = nullptr;
-  std::uint32_t size = 0;
-};
-
-/// Mid-replay simulation progress: everything simulate() itself accumulates
-/// up to (and including) event index `events`.  Together with the arena and
-/// manager snapshots taken at the same instant this is a full checkpoint.
-struct SimProgress {
-  std::uint64_t events = 0;  ///< events already consumed
-  std::uint16_t phase = 0;   ///< phase in effect after those events
-  double footprint_sum = 0.0;
-  std::size_t live_bytes = 0;
-  std::size_t peak_live_bytes = 0;
-  std::size_t peak_footprint = 0;
-  std::uint64_t failed_allocs = 0;
-  std::vector<SimLiveObj> live;  ///< sorted by id
-};
-
-/// Checkpoint-capture callback: invoked mid-replay at boundaries chosen by
-/// SimReplayOptions (the callback snapshots arena/manager state itself).
-using SimCaptureFn = std::function<void(const SimProgress&)>;
-
 /// Extended replay controls (the classic simulate() overload forwards here).
 struct SimReplayOptions {
   /// If non-null, receives one point every `timeline_stride` events plus
@@ -82,27 +55,8 @@ struct SimReplayOptions {
   std::vector<TimelinePoint>* timeline = nullptr;
   std::uint64_t timeline_stride = 256;
 
-  /// Resume from this progress snapshot: events [0, resume->events) are
-  /// skipped and the accumulators/live map start from the snapshot.  The
-  /// manager and arena must already have been restored to the matching
-  /// checkpoint state.
-  const SimProgress* resume = nullptr;
-  /// Relocation applied to resume->live pointers (new slab base - old).
-  std::ptrdiff_t resume_delta = 0;
-
-  /// If set, invoked after every `capture_interval` events, at each phase
-  /// boundary (before the first event of the new phase is processed), and
-  /// once at end-of-trace before the leak-teardown sweep.
-  SimCaptureFn capture;
-  std::uint64_t capture_interval = 0;  ///< 0 = boundaries + end only
-  /// Also capture at power-of-two event counts below the periodic interval
-  /// (below 4096 when no interval): knob-group divergences cluster in the
-  /// first few hundred events, and a resume point must sit at or before
-  /// the divergence to be usable at all.
-  bool capture_dense_prefix = false;
-
-  /// Installed as the thread's consult sink for the replay (prefix-
-  /// invariance instrumentation; see alloc/consult.h).
+  /// Installed as the thread's consult sink for the replay (records which
+  /// knob groups the replay consulted; see alloc/consult.h).
   alloc::ConsultSink* consult = nullptr;
 
   /// Stop the replay at the first event whose footprint exceeds this many
@@ -126,11 +80,8 @@ struct SimReplayOptions {
 /// Failed allocations (arena budget) are tolerated: the object is skipped
 /// and its free ignored, mirroring an embedded malloc returning NULL.
 ///
-/// With opts.resume, `SimResult.events` still reports the FULL trace event
-/// count (the result describes the whole logical replay); the caller knows
-/// how many events were actually replayed from the resume point.  With
-/// opts.peak_cutoff a stopped replay reports the events it replayed, and
-/// still frees every live object before returning.
+/// With opts.peak_cutoff a stopped replay reports the events it replayed,
+/// and still frees every live object before returning.
 SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
                    const SimReplayOptions& opts);
 

@@ -62,10 +62,6 @@ class TraceCursor {
  public:
   virtual ~TraceCursor() = default;
 
-  /// Repositions the cursor so the next run starts at @p event_index
-  /// (clamped to the event count).  Powers CheckpointStore resume.
-  virtual void seek(std::uint64_t event_index) = 0;
-
   /// Yields the next contiguous run of events: sets @p run and returns its
   /// length, or returns 0 at end of stream.  The pointed-to events stay
   /// valid until the next call on this cursor (or its destruction).

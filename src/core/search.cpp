@@ -149,10 +149,7 @@ void SearchContext::account(const EvalOutcome& out) {
     ++result_.simulations;
   }
   result_.replayed_events += out.replayed_events;
-  if (out.resumed) {
-    ++result_.resumed_evals;
-    if (out.replayed_events == 0) ++result_.full_skips;
-  }
+  if (out.full_skip) ++result_.full_skips;
 }
 
 std::vector<EvalOutcome> SearchContext::evaluate(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_map>
+#include <utility>
 
 #include "dmm/alloc/consult.h"
 
@@ -66,25 +67,23 @@ class LiveMap {
 
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
-  /// Id-sorted view of the live set (checkpoint capture + teardown order).
-  [[nodiscard]] std::vector<SimLiveObj> sorted() const {
-    std::vector<SimLiveObj> out;
+  /// Live payload pointers in id order (the teardown sweep's order).
+  [[nodiscard]] std::vector<void*> sorted() const {
+    std::vector<void*> out;
     if (dense_) {
-      for (std::size_t id = 0; id < flat_.size(); ++id) {
-        if (flat_[id].ptr != nullptr) {
-          out.push_back({static_cast<std::uint32_t>(id), flat_[id].ptr,
-                         flat_[id].size});
-        }
+      for (const LiveObj& obj : flat_) {
+        if (obj.ptr != nullptr) out.push_back(obj.ptr);
       }
       return out;
     }
-    out.reserve(map_.size());
+    std::vector<std::pair<std::uint32_t, void*>> by_id;
+    by_id.reserve(map_.size());
     // dmm-lint: allow(unordered-iter): sorted by id directly below
-    for (const auto& [id, obj] : map_) out.push_back({id, obj.ptr, obj.size});
-    std::sort(out.begin(), out.end(),
-              [](const SimLiveObj& a, const SimLiveObj& b) {
-                return a.id < b.id;
-              });
+    for (const auto& [id, obj] : map_) by_id.emplace_back(id, obj.ptr);
+    std::sort(by_id.begin(), by_id.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    out.reserve(by_id.size());
+    for (const auto& [id, ptr] : by_id) out.push_back(ptr);
     return out;
   }
 
@@ -101,7 +100,6 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
                    const SimReplayOptions& opts) {
   SimResult r;
   const sysmem::SystemArena& arena = manager.arena();
-  const std::uint64_t total = trace.event_count();
 
   // Dense-id sizing pre-pass: in-memory traces answer with one linear
   // scan (far cheaper than the replay it sizes), mapped traces straight
@@ -115,50 +113,18 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
   double footprint_sum = 0.0;
   std::size_t live_bytes = 0;
   std::uint16_t current_phase = 0;
-  std::uint64_t start = 0;
-  if (opts.resume != nullptr) {
-    const SimProgress& p = *opts.resume;
-    start = p.events;
-    current_phase = p.phase;
-    footprint_sum = p.footprint_sum;
-    live_bytes = p.live_bytes;
-    r.peak_live_bytes = p.peak_live_bytes;
-    r.peak_footprint = p.peak_footprint;
-    r.failed_allocs = p.failed_allocs;
-    r.events = p.events;
-    // dmm-lint: allow(unordered-iter): p.live is a vector; name collides with a hash set elsewhere
-    for (const SimLiveObj& obj : p.live) {
-      live.emplace(obj.id,
-                   static_cast<std::byte*>(obj.ptr) + opts.resume_delta,
-                   obj.size);
-    }
-  }
 
   alloc::ConsultSink* const prev_sink = alloc::consult_sink_slot();
   if (opts.consult != nullptr) alloc::set_consult_sink(opts.consult);
-
-  const auto capture_now = [&] {
-    SimProgress p;
-    p.events = r.events;
-    p.phase = current_phase;
-    p.footprint_sum = footprint_sum;
-    p.live_bytes = live_bytes;
-    p.peak_live_bytes = r.peak_live_bytes;
-    p.peak_footprint = r.peak_footprint;
-    p.failed_allocs = r.failed_allocs;
-    p.live = live.sorted();
-    opts.capture(p);
-  };
 
   // The replay walks the source through a block cursor: in-memory traces
   // hand back their whole vector as one run, mapped traces one decoded
   // block at a time — so peak replay memory stays O(block), independent
   // of trace length.
   std::unique_ptr<TraceCursor> cur = trace.cursor();
-  if (start != 0) cur->seek(start);
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t remaining = total - start;
+  std::uint64_t remaining = trace.event_count();
   const AllocEvent* run = nullptr;
   std::size_t run_len = 0;
   while (remaining > 0) {
@@ -173,13 +139,9 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
     --run_len;
     --remaining;
     if (e.phase != current_phase) {
-      // Phase boundary: the checkpoint represents the state *before* the
-      // new phase's first event, still under the old phase.
-      if (opts.capture && r.events > 0) capture_now();
       current_phase = e.phase;
       manager.set_phase(current_phase);
     }
-    if (opts.consult != nullptr) opts.consult->current_event = r.events;
     if (e.op == AllocEvent::Op::kAlloc) {
       void* p = manager.allocate(e.size);
       if (p == nullptr) {
@@ -209,19 +171,6 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
         (r.events % opts.timeline_stride) == 0) {
       opts.timeline->push_back({r.events, fp, manager.stats().live_bytes});
     }
-    if (opts.capture && r.events < total) {
-      const bool interval_point = opts.capture_interval != 0 &&
-                                  (r.events % opts.capture_interval) == 0;
-      // Early divergences cluster in the first few hundred events (the
-      // first consult of each knob group); exponential spacing puts a
-      // resume point near every one of them for ~10 cheap extra snapshots.
-      const bool prefix_point =
-          opts.capture_dense_prefix &&
-          r.events < (opts.capture_interval != 0 ? opts.capture_interval
-                                                 : std::uint64_t{4096}) &&
-          (r.events & (r.events - 1)) == 0;
-      if (interval_point || prefix_point) capture_now();
-    }
   }
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -232,15 +181,12 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
     opts.timeline->push_back(
         {r.events, r.final_footprint, manager.stats().live_bytes});
   }
-  // End-of-trace checkpoint: everything replayed, teardown still to run.
-  if (opts.capture && r.events > 0 && !r.stopped) capture_now();
   // Tear down whatever the trace leaked — or a stopped replay left live —
   // so the manager can be destroyed cleanly.  Id order keeps the sweep —
   // and the work it charges — independent of the live-map backend; a
   // closed trace leaves nothing live, so the id scan is skipped.
-  if (opts.consult != nullptr) opts.consult->current_event = total;
   if (!live.empty()) {
-    for (const SimLiveObj& obj : live.sorted()) manager.deallocate(obj.ptr);
+    for (void* ptr : live.sorted()) manager.deallocate(ptr);
   }
   alloc::set_consult_sink(prev_sink);
   return r;

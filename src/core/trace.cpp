@@ -94,10 +94,6 @@ class VectorCursor final : public TraceCursor {
   explicit VectorCursor(const std::vector<AllocEvent>* events)
       : events_(events) {}
 
-  void seek(std::uint64_t event_index) override {
-    pos_ = std::min<std::uint64_t>(event_index, events_->size());
-  }
-
   std::size_t next(const AllocEvent** run) override {
     if (pos_ >= events_->size()) return 0;
     *run = events_->data() + pos_;

@@ -20,8 +20,8 @@ namespace dmm::runtime {
 //
 // The methodology's product (alloc::CustomManager — see alloc/policy_core.h
 // for the split) is a deterministic, single-threaded policy core: exactly
-// what replay scoring and checkpointing need, and exactly NOT what live
-// traffic needs.  DesignedAllocator wraps one core instance with the three
+// what replay scoring and the incremental full skip need, and exactly NOT
+// what live traffic needs.  DesignedAllocator wraps one core instance with the three
 // things deployment adds and design must never see:
 //
 //   * concurrency  — the core runs under one short spin lock; per-thread

@@ -12,22 +12,6 @@
 
 namespace dmm::sysmem {
 
-/// Deep copy of an arena's deterministic state, for the incremental-replay
-/// checkpoints (core/checkpoint.h).  Offsets are relative to the slab base
-/// so a snapshot can be restored into a *different* arena whose slab landed
-/// at another address; `old_base` lets allocator-layer snapshots relocate
-/// the raw pointers they stored.
-struct ArenaSnapshot {
-  std::vector<std::byte> bytes;  ///< slab contents [0, bump)
-  std::size_t bump = 0;
-  std::vector<std::pair<std::size_t, std::size_t>> free_regions;  ///< offset,size
-  std::vector<std::pair<std::size_t, std::size_t>> grants;        ///< offset,size
-  ArenaStats stats;
-  std::size_t capacity = 0;
-  std::size_t page_size = 0;
-  const std::byte* old_base = nullptr;  ///< slab base when captured
-};
-
 /// Simulated OS memory interface (the paper's "system memory").
 ///
 /// Every dynamic-memory manager in this library draws *all* of its storage
@@ -90,9 +74,10 @@ class SystemArena {
   /// therefore must stay modest.
   static constexpr std::size_t kFallbackSlabBytes = std::size_t{1} << 28;
   /// Slabs one thread keeps for reuse after their arenas are destroyed;
-  /// further slabs are unmapped.  Replays hold one arena at a time; the
-  /// second slot serves code that nests one more (a checkpoint resume
-  /// falling back to a cold replay).
+  /// further slabs are unmapped.  A replay holds one arena at a time; the
+  /// second slot keeps a slab warm for a thread that holds one more arena
+  /// across its replays (a live DesignedAllocator, a caller's own arena).
+  /// Unverified: no measurement shows that second slot pays for itself.
   static constexpr std::size_t kCachedSlabsPerThread = 2;
   /// Resident bytes a cached slab may keep: pages past this prefix of the
   /// slab are dropped (MADV_DONTNEED) when the slab is recycled.
@@ -159,20 +144,7 @@ class SystemArena {
   /// Size of the live grant starting at @p ptr (0 if not a live grant).
   [[nodiscard]] std::size_t grant_size(const std::byte* ptr) const;
 
-  /// Captures the full deterministic state (slab bytes up to the bump
-  /// frontier, free regions, live grants, stats).  O(bump) memcpy.
-  [[nodiscard]] ArenaSnapshot save_state() const;
-
-  /// Overwrites this arena's state with @p snap.  Any current grants are
-  /// discarded wholesale (the restore target is a scratch arena owned by
-  /// the replay).  Returns false — leaving the arena unusable for resume —
-  /// if the slab cannot be mapped or the snapshot does not fit; callers
-  /// fall back to a cold replay.  Requires matching capacity/page_size.
-  [[nodiscard]] bool restore_state(const ArenaSnapshot& snap);
-
   /// Slab base address (nullptr until the first request maps it).
-  /// Checkpoint restore uses new_base - snapshot.old_base to relocate
-  /// stored pointers.
   [[nodiscard]] const std::byte* slab_base() const { return slab_; }
 
  private:

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -293,54 +292,6 @@ void SystemArena::release(std::byte* ptr) {
   stats_.total_released += size;
   ++stats_.release_count;
   if (observer_) observer_(stats_, -static_cast<long long>(size));
-}
-
-ArenaSnapshot SystemArena::save_state() const {
-  ArenaSnapshot snap;
-  snap.bump = bump_;
-  if (bump_ > 0) {
-    snap.bytes.resize(bump_);
-    std::memcpy(snap.bytes.data(), slab_, bump_);
-  }
-  snap.free_regions.assign(free_regions_.begin(), free_regions_.end());
-  snap.grants.reserve(live_grants_);
-  // Offset order, so snapshots of equal states compare equal.
-  for (std::size_t slot = 0; slot < grants_.size(); ++slot) {
-    if (grants_[slot] != 0) {
-      snap.grants.emplace_back(slot << granule_shift_, grants_[slot]);
-    }
-  }
-  snap.stats = stats_;
-  snap.capacity = capacity_;
-  snap.page_size = page_size_;
-  snap.old_base = slab_;
-  return snap;
-}
-
-bool SystemArena::restore_state(const ArenaSnapshot& snap) {
-  if (capacity_ != snap.capacity || page_size_ != snap.page_size) {
-    return false;
-  }
-  if (snap.bump > 0 && !ensure_slab()) return false;
-  if (snap.bump > kMappedSlabBytes) return false;  // fallback slab too small
-  if (snap.bump > 0) {
-    std::memcpy(slab_, snap.bytes.data(), snap.bump);
-  }
-  bump_ = snap.bump;
-  touched_ = std::max(touched_, bump_);
-  free_regions_.clear();
-  for (const auto& [offset, size] : snap.free_regions) {
-    free_regions_.emplace(offset, size);
-  }
-  grants_.assign(snap.bump >> granule_shift_, 0);
-  live_grants_ = snap.grants.size();
-  for (const auto& [offset, size] : snap.grants) {
-    const std::size_t slot = offset >> granule_shift_;
-    if (slot >= grants_.size()) grants_.resize(slot + 1, 0);
-    grants_[slot] = size;
-  }
-  stats_ = snap.stats;
-  return true;
 }
 
 bool SystemArena::owns(const std::byte* ptr) const {

@@ -454,52 +454,19 @@ class MappedCursor final : public core::TraceCursor {
   explicit MappedCursor(const MappedTrace* t)
       : t_(t), buf_(t->block_events()) {}
 
-  void seek(std::uint64_t event_index) override;
   std::size_t next(const AllocEvent** run) override;
 
  private:
   const MappedTrace* t_;
   std::vector<AllocEvent> buf_;
-  std::size_t block_ = 0;   ///< next block to decode
-  std::uint64_t skip_ = 0;  ///< events to skip inside that block
+  std::size_t block_ = 0;  ///< next block to decode
 };
 
-void MappedCursor::seek(std::uint64_t event_index) {
-  if (event_index >= t_->event_count()) {
-    block_ = t_->block_count();
-    skip_ = 0;
-    return;
-  }
-  // Binary search the index for the block covering event_index.
-  std::size_t lo = 0;
-  std::size_t hi = t_->block_count();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (t_->blocks_[mid].first_event <= event_index) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  block_ = lo;
-  skip_ = event_index - t_->blocks_[lo].first_event;
-}
-
 std::size_t MappedCursor::next(const AllocEvent** run) {
-  while (block_ < t_->block_count()) {
-    const std::uint32_t events = t_->blocks_[block_].events;
-    t_->decode_block_at(block_, buf_.data());
-    ++block_;
-    if (skip_ >= events) {  // unreachable after a valid seek; stay safe
-      skip_ -= events;
-      continue;
-    }
-    *run = buf_.data() + static_cast<std::size_t>(skip_);
-    const std::size_t n = events - static_cast<std::size_t>(skip_);
-    skip_ = 0;
-    return n;
-  }
-  return 0;
+  if (block_ >= t_->block_count()) return 0;
+  t_->decode_block_at(block_, buf_.data());
+  *run = buf_.data();
+  return t_->blocks_[block_++].events;
 }
 
 std::unique_ptr<core::TraceCursor> MappedTrace::cursor() const {

@@ -1,7 +1,7 @@
 // The streaming-session contract: submit/poll/drain must be bit-identical
 // to one batch evaluate() call — same outcomes, same order, same
 // from_cache split — on every engine, at every thread count, with or
-// without a cache, and with the incremental checkpoint path enabled.
+// without a cache, and with the incremental full-skip path enabled.
 
 #include <gtest/gtest.h>
 
@@ -188,7 +188,7 @@ TEST(AsyncEngine, CacheHitsAndInSessionDuplicatesAreServedWithoutReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming + incremental checkpoints compose
+// Streaming + incremental full skips compose
 // ---------------------------------------------------------------------------
 
 TEST(AsyncEngine, StreamingWithIncrementalCheckpointsIsBitIdentical) {

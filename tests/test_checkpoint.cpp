@@ -1,9 +1,8 @@
-// Incremental replay: the checkpoint store's divergence analysis must be
-// conservative (hard knobs cold-replay, boundary-exact divergence resumes
-// from the boundary, never-consulted knobs full-skip) and resumed scores
-// must be bit-identical to cold replays — searches with incremental replay
-// on return the same results as with it off, across thread counts and
-// cache scopes.
+// Incremental replay: the full-skip store's consult-table analysis must be
+// conservative (hard knobs and consulted soft knobs replay cold,
+// never-consulted knobs full-skip) and skipped scores must be bit-identical
+// to cold replays — searches with incremental replay on return the same
+// results as with it off, across thread counts and cache scopes.
 
 #include "dmm/core/checkpoint.h"
 
@@ -33,8 +32,8 @@ AllocTrace workload_trace(const std::string& name, std::size_t max_events) {
 }
 
 /// Eight same-size allocations in phase 0, then a phase-1 tail that frees
-/// and reallocates — the first free-list/fit activity of the whole trace,
-/// so soft-knob divergence lands at or after the phase boundary (event 8).
+/// and reallocates: interior blocks with live neighbours, so no merge is
+/// possible before the teardown sweep.
 AllocTrace two_phase_trace() {
   AllocTrace t;
   for (std::uint32_t id = 1; id <= 8; ++id) t.record_alloc(id, 64, 0);
@@ -59,7 +58,7 @@ void expect_same_outcome(const EvalOutcome& a, const EvalOutcome& b,
 }
 
 // ---------------------------------------------------------------------------
-// Divergence-analysis corners
+// Consult-table corners
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointStore, HardKnobInvalidatesEverything) {
@@ -69,17 +68,15 @@ TEST(CheckpointStore, HardKnobInvalidatesEverything) {
   const EvalOutcome base =
       score_candidate_incremental(trace, {alloc::drr_paper_config(), 0},
                                   store, fp, /*verify=*/false);
-  EXPECT_FALSE(base.resumed);
+  EXPECT_FALSE(base.full_skip);
   DmmConfig hard = alloc::drr_paper_config();
   hard.block_structure = alloc::BlockStructure::kSizeBinaryTree;
-  const CheckpointStore::Plan plan = store.plan(fp, alloc::canonical(hard));
-  EXPECT_EQ(plan.kind, CheckpointStore::Plan::Kind::kCold);
+  EXPECT_FALSE(store.plan(fp, alloc::canonical(hard)).full_skip);
 }
 
 TEST(CheckpointStore, KnobAffectingEventZeroColdReplays) {
   // The first event allocates 5000 bytes; a big-request threshold move
-  // across 5000 re-routes it, so the divergence bound is event 0 and no
-  // checkpoint (all at event > 0) may be reused.
+  // across 5000 re-routes it, so the stored result may not be reused.
   AllocTrace trace;
   trace.record_alloc(1, 5000, 0);
   trace.record_alloc(2, 64, 0);
@@ -93,43 +90,13 @@ TEST(CheckpointStore, KnobAffectingEventZeroColdReplays) {
 
   DmmConfig straddling = base;
   straddling.big_request_bytes = 8192;  // moved range [4096, 8192) hits 5000
-  EXPECT_EQ(store.plan(fp, alloc::canonical(straddling)).kind,
-            CheckpointStore::Plan::Kind::kCold);
+  EXPECT_FALSE(store.plan(fp, alloc::canonical(straddling)).full_skip);
 
   // A move that straddles no requested size never re-routes anything on
   // this trace: the stored final result is served outright.
   DmmConfig harmless = base;
   harmless.big_request_bytes = 2048;  // moved range [2048, 4096) is empty
-  EXPECT_EQ(store.plan(fp, alloc::canonical(harmless)).kind,
-            CheckpointStore::Plan::Kind::kFullSkip);
-}
-
-TEST(CheckpointStore, DivergenceExactlyAtPhaseBoundaryResumesFromIt) {
-  // Phase 1 opens by freeing the block adjacent to the wilderness — the
-  // trace's first coalescing decision, at event 8 — so a coalesce-schedule
-  // change diverges exactly at the boundary checkpoint's event.  The
-  // checkpoint captures state *before* event 8 runs, so resuming from it
-  // is still safe: the diverging event itself replays under the new knobs.
-  AllocTrace t;
-  for (std::uint32_t id = 1; id <= 8; ++id) t.record_alloc(id, 64, 0);
-  t.record_free(8, 1);        // event 8: merge with the wilderness possible
-  t.record_alloc(9, 64, 1);   // event 9
-  const std::uint64_t fp = t.fingerprint();
-  CheckpointStore store;
-  (void)score_candidate_incremental(t, {alloc::drr_paper_config(), 0}, store,
-                                    fp, false);
-  DmmConfig deferred = alloc::drr_paper_config();
-  deferred.coalesce_when = alloc::CoalesceWhen::kDeferred;
-  const CheckpointStore::Plan plan = store.plan(fp, alloc::canonical(deferred));
-  ASSERT_EQ(plan.kind, CheckpointStore::Plan::Kind::kResume);
-  ASSERT_NE(plan.checkpoint, nullptr);
-  EXPECT_EQ(plan.checkpoint->event, 8u);
-  // And the resumed score must equal the cold one, bit for bit.
-  const EvalOutcome out =
-      score_candidate_incremental(t, {deferred, 1}, store, fp, /*verify=*/true);
-  EXPECT_TRUE(out.resumed);
-  EXPECT_EQ(store.stats().verified_ok, 1u);
-  EXPECT_EQ(store.stats().verify_failures, 0u);
+  EXPECT_TRUE(store.plan(fp, alloc::canonical(harmless)).full_skip);
 }
 
 TEST(CheckpointStore, NeverConsultedKnobFullSkips) {
@@ -148,22 +115,20 @@ TEST(CheckpointStore, NeverConsultedKnobFullSkips) {
             alloc::canonical(alloc::drr_paper_config()));
   const EvalOutcome skipped =
       score_candidate_incremental(t, {first_fit, 1}, store, fp, false);
-  EXPECT_TRUE(skipped.resumed);
+  EXPECT_TRUE(skipped.full_skip);
   EXPECT_EQ(skipped.replayed_events, 0u);
   EXPECT_EQ(store.stats().full_skips, 1u);
   expect_same_outcome(base, skipped, "full skip");
 }
 
 TEST(CheckpointStore, SiblingCandidatesReuseOneBaseline) {
-  // Two siblings of the same baseline, each differing in one knob, both
-  // reuse the baseline's lineage — one cold replay serves the whole family,
-  // and verify mode confirms both bit-identical.  The fit sibling full-skips
-  // outright: this trace never holds two free blocks at once, so the fit
-  // policy is never consulted at all.  The coalesce sibling resumes from
-  // the end-of-trace checkpoint — the mid-trace frees release interior
-  // blocks with live neighbours (no merge possible, so no consult), and the
-  // first coalesce decision only arises in the teardown sweep.  The resume
-  // replays zero trace events and just re-runs teardown under kDeferred.
+  // Two siblings of the same baseline, each differing in one knob.  The fit
+  // sibling full-skips outright: this trace never holds two free blocks at
+  // once, so the fit policy is never consulted at all.  The coalesce
+  // sibling cannot: the mid-trace frees release interior blocks with live
+  // neighbours (no merge possible, so no consult), but the teardown sweep
+  // does make coalesce decisions — so it replays cold and publishes a
+  // second lineage.  Verify mode confirms the skip bit-identical.
   const AllocTrace trace = two_phase_trace();
   const std::uint64_t fp = trace.fingerprint();
   CheckpointStore store;
@@ -177,16 +142,17 @@ TEST(CheckpointStore, SiblingCandidatesReuseOneBaseline) {
       score_candidate_incremental(trace, {sib_fit, 1}, store, fp, true);
   const EvalOutcome b =
       score_candidate_incremental(trace, {sib_coalesce, 2}, store, fp, true);
-  EXPECT_TRUE(a.resumed);
+  EXPECT_TRUE(a.full_skip);
   EXPECT_EQ(a.replayed_events, 0u);  // full skip: fit never consulted
-  EXPECT_TRUE(b.resumed);
-  EXPECT_EQ(b.replayed_events, 0u);  // end checkpoint: teardown-only replay
+  EXPECT_FALSE(b.full_skip);
+  EXPECT_EQ(b.replayed_events, trace.size());  // coalesce consulted
   const CheckpointStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.cold_replays, 1u);
-  EXPECT_EQ(stats.resumes, 1u);
+  EXPECT_EQ(stats.cold_replays, 2u);
   EXPECT_EQ(stats.full_skips, 1u);
-  EXPECT_EQ(stats.verified_ok, 2u);
+  EXPECT_EQ(stats.verified_ok, 1u);
   EXPECT_EQ(stats.verify_failures, 0u);
+  // The coalesce sibling's cold replay is a lineage of its own now.
+  EXPECT_TRUE(store.plan(fp, alloc::canonical(sib_coalesce)).full_skip);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +215,7 @@ TEST_P(IncrementalEquivalence, SearchesMatchAcrossThreadsAndCacheScopes) {
       ExplorerOptions opts = base_opts;
       opts.num_threads = threads;
       opts.incremental = true;
-      opts.verify_incremental = true;  // every resume cross-checked cold
+      opts.verify_incremental = true;  // every full skip cross-checked cold
       if (shared) opts.shared_cache = std::make_shared<SharedScoreCache>();
       Explorer ex(trace, opts);
       const ExplorationResult got = ex.run();
@@ -270,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(Strategies, IncrementalEquivalence,
 
 TEST(Incremental, CutoffJobsReplayColdAndLandAsLowerBounds) {
   // A job with a peak cutoff stops where its peak passes it, so it replays
-  // cold even with a checkpoint store configured; a same-vector exact job
+  // cold even with a full-skip store configured; a same-vector exact job
   // in the same batch is not folded into it, and its exact score then
   // answers the next cutoff job from the cache.
   const auto trace =
@@ -283,13 +249,13 @@ TEST(Incremental, CutoffJobsReplayColdAndLandAsLowerBounds) {
   SerialEngine engine;
   auto store = std::make_shared<CheckpointStore>();
   engine.configure_incremental(store, /*verify=*/true);
-  (void)engine.evaluate(*trace, {{cfg, 0}});  // a baseline to resume from
+  (void)engine.evaluate(*trace, {{cfg, 0}});  // a baseline to skip from
   ScoreCache cache;
   const std::vector<EvalOutcome> batch =
       engine.evaluate(*trace, {{cfg, 0, cutoff}, {cfg, 1, 0}}, &cache);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_TRUE(batch[0].sim.stopped);
-  EXPECT_FALSE(batch[0].resumed);
+  EXPECT_FALSE(batch[0].full_skip);
   EXPECT_FALSE(batch[0].from_cache);
   EXPECT_GT(batch[0].sim.peak_footprint, cutoff);
   EXPECT_LT(batch[0].replayed_events, trace->size());
@@ -305,24 +271,27 @@ TEST(Incremental, CutoffJobsReplayColdAndLandAsLowerBounds) {
   EXPECT_EQ(store->stats().verify_failures, 0u);
 }
 
-TEST(Incremental, GreedyWalkReplaysFewerEventsThanCold) {
+TEST(Incremental, BeamWalkFullSkipsReplayFewerEventsThanCold) {
   const auto trace =
       std::make_shared<const AllocTrace>(workload_trace("drr", 3000));
   ExplorerOptions off;
+  off.search.kind = SearchSpec::Kind::kBeam;
+  off.search.beam_width = 2;
   Explorer cold(trace, off);
-  const ExplorationResult cold_result = cold.explore();
-  EXPECT_EQ(cold_result.resumed_evals, 0u);
+  const ExplorationResult cold_result = cold.run();
+  EXPECT_EQ(cold_result.full_skips, 0u);
   EXPECT_EQ(cold_result.replayed_events,
             cold_result.simulations * trace->size());
 
   ExplorerOptions on = off;
   on.incremental = true;
   Explorer inc(trace, on);
-  const ExplorationResult inc_result = inc.explore();
-  expect_same_search(cold_result, inc_result, "incremental greedy");
-  EXPECT_GT(inc_result.resumed_evals, 0u);
+  const ExplorationResult inc_result = inc.run();
+  expect_same_search(cold_result, inc_result, "incremental beam:2");
+  EXPECT_GT(inc_result.full_skips, 0u);
   EXPECT_LT(inc_result.replayed_events, cold_result.replayed_events);
-  EXPECT_GE(inc_result.resumed_evals, inc_result.full_skips);
+  EXPECT_EQ(inc_result.replayed_events,
+            (inc_result.simulations - inc_result.full_skips) * trace->size());
 }
 
 }  // namespace

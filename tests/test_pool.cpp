@@ -240,7 +240,7 @@ TEST(Pool, GrowReserveProvisionsWithoutAllocating) {
   pool.free_block(b, 1024, host.pool_find_chunk(b));
 }
 
-TEST(ChunkIndex, ResolvesEveryByteOfAChunkAndVisitsInAddressOrder) {
+TEST(ChunkIndex, ResolvesEveryByteOfAChunk) {
   // A page below the 16-byte carve grain: a chunk's last granule then
   // reaches past its end.
   sysmem::SystemArena arena(0, 8);
@@ -266,17 +266,11 @@ TEST(ChunkIndex, ResolvesEveryByteOfAChunkAndVisitsInAddressOrder) {
   EXPECT_EQ(index.find(chunks[0]->end()), nullptr) << "grain padding";
   EXPECT_EQ(index.find(chunks[2]->end()), nullptr) << "past the last chunk";
   EXPECT_EQ(index.find(&outside), nullptr);
-  std::vector<ChunkHeader*> visited;
-  index.for_each([&](ChunkHeader* c) { visited.push_back(c); });
-  EXPECT_EQ(visited, chunks) << "ascending base order";
 
   index.remove(chunks[1]);
   EXPECT_EQ(index.find(chunks[1]->base()), nullptr);
   EXPECT_EQ(index.find(chunks[0]->base()), chunks[0]);
   EXPECT_EQ(index.size(), 2u);
-  index.clear();
-  EXPECT_EQ(index.find(chunks[2]->base()), nullptr);
-  EXPECT_EQ(index.size(), 0u);
   for (ChunkHeader* c : chunks) arena.release(c->base());
 }
 

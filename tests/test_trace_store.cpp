@@ -1,9 +1,9 @@
 // DMMT trace store: round trips must preserve the event stream,
 // fingerprint, stats, and id bounds bit-for-bit; every corruption mode
 // (truncation, bit flips, bad magic, future versions, forged indexes)
-// must reject cleanly at open; seeking must agree with sequential
-// streaming; and a file-backed exploration must be bit-identical to the
-// same search on the in-memory trace at every thread count.
+// must reject cleanly at open; and a file-backed exploration must be
+// bit-identical to the same search on the in-memory trace at every thread
+// count.
 
 #include "dmm/trace/trace_store.h"
 
@@ -152,47 +152,6 @@ TEST_F(TraceStore, CursorStreamsEveryEventInOrder) {
   }
   EXPECT_TRUE(got == t.events());
   EXPECT_EQ(cur->next(&run), 0u);  // stays at end
-}
-
-TEST_F(TraceStore, SeekAgreesWithSequentialFromEveryBoundary) {
-  const AllocTrace t = write_drr(128);
-  std::string why;
-  const auto m = MappedTrace::open(path_, &why);
-  ASSERT_NE(m, nullptr) << why;
-
-  const std::uint64_t total = m->event_count();
-  const std::uint64_t probes[] = {0,         1,         127,      128,
-                                  129,       total / 2, total - 1, total,
-                                  total + 7};
-  for (const std::uint64_t start : probes) {
-    const auto cur = m->cursor();
-    cur->seek(start);
-    std::vector<AllocEvent> got;
-    const AllocEvent* run = nullptr;
-    std::size_t n = 0;
-    while ((n = cur->next(&run)) != 0) got.insert(got.end(), run, run + n);
-    const std::uint64_t from = start > total ? total : start;
-    ASSERT_EQ(got.size(), total - from) << "seek " << start;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_TRUE(got[i] == t.events()[from + i])
-          << "seek " << start << " event " << i;
-    }
-  }
-}
-
-TEST_F(TraceStore, SeekBackwardsAfterStreamingForward) {
-  const AllocTrace t = write_drr(64);
-  std::string why;
-  const auto m = MappedTrace::open(path_, &why);
-  ASSERT_NE(m, nullptr) << why;
-
-  const auto cur = m->cursor();
-  const AllocEvent* run = nullptr;
-  for (int i = 0; i < 5; ++i) (void)cur->next(&run);
-  cur->seek(3);
-  std::size_t n = cur->next(&run);
-  ASSERT_GT(n, 0u);
-  EXPECT_TRUE(run[0] == t.events()[3]);
 }
 
 TEST_F(TraceStore, EmptyTraceRoundTrips) {

@@ -8,10 +8,10 @@ about; this linter makes them machine-checked:
                   the typed accessor layer (src/alloc/include/dmm/alloc/
                   knobs.h): KnobView accessors note their ConsultGroup, so a
                   raw field read on an allocator decision path would bypass
-                  the consult bookkeeping that incremental replay
-                  (src/core/checkpoint.cpp) depends on.  Writes (building a
+                  the consult bookkeeping that the incremental replay's
+                  full skip (src/core/checkpoint.cpp) depends on.  Writes (building a
                   config) are always fine; a short whitelist covers the
-                  canonical/hash/validation/divergence/serialization code
+                  canonical/hash/validation/full-skip/serialization code
                   that must compare or dump fields wholesale.  The rule
                   binds in the deployable runtime front (src/runtime/) with
                   the same strictness as in src/alloc/: the front wraps the
@@ -76,8 +76,8 @@ KNOB_FIELDS_ALLOC_ONLY = ("fit", "order")
 
 # Files allowed to read DmmConfig fields raw: the accessor layer itself,
 # canonicalization/hash/printing, validation, the design-space walker, and
-# the checkpoint divergence analysis — all of which legitimately treat the
-# config as plain data.  Tests are excluded wholesale (they build and poke
+# the full-skip store's divergence check — all of which legitimately treat
+# the config as plain data.  Tests are excluded wholesale (they build and poke
 # vectors directly).
 KNOB_WHITELIST = (
     "src/alloc/config.cpp",
