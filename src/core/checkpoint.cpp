@@ -103,7 +103,7 @@ bool CheckpointStore::may_diverge(const TraceEntry& entry,
     return true;
   }
   if (base.big_request_bytes != canon.big_request_bytes) {
-    // Trace-pure bound: the threshold only matters for request sizes that
+    // Trace-pure check: the threshold only matters for request sizes that
     // land between the two values; routing diverges iff the trace
     // allocates one.
     const std::uint64_t lo =
@@ -134,7 +134,8 @@ void CheckpointStore::prepare_trace(std::uint64_t trace_fingerprint,
       // allocate() floors zero-byte requests to one byte before routing.
       sizes.push_back(e.size == 0 ? 1 : e.size);
     }
-    // Dedup per run keeps the scratch list at distinct sizes, not events.
+    // Dedup after every run: a mapped trace's list then holds its distinct
+    // sizes plus at most one block's worth, never one entry per event.
     std::sort(sizes.begin(), sizes.end());
     sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
   }
