@@ -19,7 +19,9 @@
 //   * every searcher's incremental wall time is no worse than cold beyond
 //     the noise band,
 //   * the DRR sensitivity sweep replays >= 3x fewer events than cold and
-//     runs >= 3x faster by wall time.
+//     runs >= 3x faster by wall time,
+//   * the DRR greedy walk's verify pass checks at least one full skip
+//     (verified_ok > 0), so verify_clean means something on a walk too.
 //
 // Optional argv[1]: cap on trace events (0 = full trace); `--out PATH`
 // relocates the JSON.
@@ -300,6 +302,7 @@ int main(int argc, char** argv) {
   bool wall_gate = true;
   bool drr_sweep_gate = false;
   bool drr_sweep_wall_gate = false;
+  bool drr_greedy_verified_gate = false;
   bool first_workload = true;
   for (const workloads::Workload& w : workloads::case_studies()) {
     core::AllocTrace recorded = workloads::record_trace(w, 1);
@@ -371,6 +374,7 @@ int main(int argc, char** argv) {
     if (w.name == "drr") {
       drr_sweep_gate = sweep.speedup() >= 3.0;
       drr_sweep_wall_gate = sweep.wall_speedup() >= 3.0;
+      drr_greedy_verified_gate = rows[0].verified_ok > 0;
     }
 
     std::fprintf(json, "%s\n    {\n      \"workload\": \"%s\",\n",
@@ -429,14 +433,17 @@ int main(int argc, char** argv) {
                lm.hash_wall);
 
   const bool all_gates = agree_gate && verify_gate && wall_gate &&
-                         drr_sweep_gate && drr_sweep_wall_gate;
+                         drr_sweep_gate && drr_sweep_wall_gate &&
+                         drr_greedy_verified_gate;
   std::fprintf(json,
                "  \"gates\": {\"best_agrees\": %s, \"verify_clean\": %s, "
                "\"inc_wall_within_noise\": %s, \"drr_sweep_3x\": %s, "
-               "\"drr_sweep_3x_wall\": %s, \"passed\": %s}\n}\n",
+               "\"drr_sweep_3x_wall\": %s, \"drr_greedy_verified\": %s, "
+               "\"passed\": %s}\n}\n",
                agree_gate ? "true" : "false", verify_gate ? "true" : "false",
                wall_gate ? "true" : "false", drr_sweep_gate ? "true" : "false",
                drr_sweep_wall_gate ? "true" : "false",
+               drr_greedy_verified_gate ? "true" : "false",
                all_gates ? "true" : "false");
   std::fclose(json);
   std::printf("\nwrote %s\n", args.out.c_str());
@@ -444,9 +451,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: incremental gates (best_agrees=%d verify_clean=%d "
                  "inc_wall_within_noise=%d drr_sweep_3x=%d "
-                 "drr_sweep_3x_wall=%d)\n",
+                 "drr_sweep_3x_wall=%d drr_greedy_verified=%d)\n",
                  agree_gate, verify_gate, wall_gate, drr_sweep_gate,
-                 drr_sweep_wall_gate);
+                 drr_sweep_wall_gate, drr_greedy_verified_gate);
     return 1;
   }
   return 0;

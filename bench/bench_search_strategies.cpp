@@ -3,12 +3,26 @@
 // score cache and report best-peak and evals-to-best (evaluations charged
 // when the winner was recorded) — then reproduce the Fig. 4 ordering trap
 // with a *myopic* explorer (minimal-capability defaults, A3-first order)
-// and check that a beam of width >= 2 escapes it.  Emits BENCH_search.json;
-// the exit code gates beam(2) <= greedy on the trap, which CI enforces.
+// and check that a beam of width >= 2 escapes it.
+//
+// Annealing speculation, per workload: default annealing (seed 1, 400
+// evaluations) timed at 1 and 4 engine threads on fresh caches (min of
+// kRepeats interleaved runs), the 4-thread run's committed steps per
+// round and discarded speculative replays, and whether both runs agree
+// bit for bit (thread_identical).  Then the best-peak-versus-evaluations
+// curve of seeds 1/5/17: the trajectory does not depend on the budget, so
+// runs at max_evals = 25, 50, ..., 400 on one cache per seed trace it,
+// beside the greedy walk's peak.
+//
+// Emits BENCH_search.json; the exit code gates beam(2) <= greedy on the
+// trap and thread_identical on every workload, which CI enforces (the
+// timings are reported, never gated).
 //
 // Optional argv[1]: cap on trace events (0 = full trace); `--out PATH`
 // relocates the JSON.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -18,6 +32,87 @@
 #include "dmm/core/explorer.h"
 
 namespace {
+
+/// Timed runs per thread count of the speculation comparison.
+constexpr int kRepeats = 3;
+
+double now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Every deterministic field of two search results, the accounting split
+/// included (wall-clock fields excluded).
+bool same_result(const dmm::core::ExplorationResult& a,
+                 const dmm::core::ExplorationResult& b) {
+  return a.best == b.best &&
+         a.best_sim.peak_footprint == b.best_sim.peak_footprint &&
+         a.best_sim.avg_footprint == b.best_sim.avg_footprint &&
+         a.best_sim.failed_allocs == b.best_sim.failed_allocs &&
+         a.work_steps == b.work_steps && a.evals_to_best == b.evals_to_best &&
+         a.simulations == b.simulations && a.cache_hits == b.cache_hits &&
+         a.canonical_skips == b.canonical_skips && a.feasible == b.feasible;
+}
+
+struct SpeculationNumbers {
+  double wall_1t = 0.0;  ///< min over kRepeats
+  double wall_4t = 0.0;
+  dmm::core::AnnealingSearch::SpeculationStats stats;  ///< 4-thread run
+  bool thread_identical = true;
+};
+
+/// Default annealing at 1 and 4 engine threads, fresh per-search caches.
+SpeculationNumbers measure_speculation(
+    const std::shared_ptr<const dmm::core::AllocTrace>& trace) {
+  SpeculationNumbers n;
+  dmm::core::ExplorationResult reference;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (const unsigned threads : {1u, 4u}) {
+      dmm::core::ExplorerOptions opts;
+      opts.num_threads = threads;
+      dmm::core::Explorer ex(trace, opts);
+      dmm::core::AnnealingSearch anneal;
+      const double t0 = now_seconds();
+      const dmm::core::ExplorationResult r = ex.run(anneal);
+      const double wall = now_seconds() - t0;
+      double& best = threads == 1 ? n.wall_1t : n.wall_4t;
+      best = rep == 0 ? wall : std::min(best, wall);
+      if (threads == 1) {
+        if (rep == 0) reference = r;
+        n.thread_identical = n.thread_identical && same_result(r, reference);
+      } else {
+        n.stats = anneal.speculation();
+        n.thread_identical = n.thread_identical && same_result(r, reference);
+      }
+    }
+  }
+  return n;
+}
+
+constexpr unsigned kCurveSeeds[] = {1u, 5u, 17u};
+constexpr std::size_t kCurveStep = 25;
+constexpr std::size_t kCurvePoints = 16;  // max_evals 25 .. 400
+
+/// Best peak after 25, 50, ..., 400 evaluations for one seed: each budget
+/// is a separate run on one shared cache, so every run replays only the
+/// evaluations the previous one did not reach.
+std::vector<std::size_t> anneal_curve(
+    const std::shared_ptr<const dmm::core::AllocTrace>& trace, unsigned seed) {
+  dmm::core::ExplorerOptions opts;
+  opts.num_threads = 4;
+  opts.shared_cache = std::make_shared<dmm::core::SharedScoreCache>();
+  dmm::core::Explorer ex(trace, opts);
+  std::vector<std::size_t> peaks;
+  for (std::size_t k = 1; k <= kCurvePoints; ++k) {
+    dmm::core::AnnealingOptions aopts;
+    aopts.seed = seed;
+    aopts.max_evals = k * kCurveStep;
+    dmm::core::AnnealingSearch anneal(aopts);
+    peaks.push_back(ex.run(anneal).best_sim.peak_footprint);
+  }
+  return peaks;
+}
 
 struct StrategyRow {
   std::string name;
@@ -70,6 +165,7 @@ int main(int argc, char** argv) {
 
   bool first_workload = true;
   bool fig4_gate_passed = true;
+  bool thread_gate_passed = true;
   for (const workloads::Workload& w : workloads::case_studies()) {
     core::AllocTrace recorded = workloads::record_trace(w, 1);
     bench::cap_events(recorded, args.max_events);
@@ -133,6 +229,31 @@ int main(int argc, char** argv) {
                     static_cast<double>(trap_greedy.best_sim.peak_footprint),
                 escaped ? "escaped" : "STUCK — gate fails");
 
+    // --- annealing speculation and the best-peak curve ------------------
+    const SpeculationNumbers spec = measure_speculation(trace);
+    thread_gate_passed = thread_gate_passed && spec.thread_identical;
+    const double per_round =
+        spec.stats.rounds == 0 ? 0.0
+                               : static_cast<double>(spec.stats.committed) /
+                                     static_cast<double>(spec.stats.rounds);
+    std::printf("anneal 400 evals: %.4fs @1 thread, %.4fs @4 threads "
+                "(%.2fx); %.2f committed/round over %llu rounds, %llu of "
+                "%llu speculative replays discarded; %s\n",
+                spec.wall_1t, spec.wall_4t,
+                spec.wall_4t > 0.0 ? spec.wall_1t / spec.wall_4t : 0.0,
+                per_round, static_cast<unsigned long long>(spec.stats.rounds),
+                static_cast<unsigned long long>(spec.stats.discarded),
+                static_cast<unsigned long long>(spec.stats.replays),
+                spec.thread_identical ? "thread-identical"
+                                      : "THREAD COUNTS DISAGREE — gate fails");
+    std::vector<std::vector<std::size_t>> curves;
+    for (const unsigned seed : kCurveSeeds) {
+      curves.push_back(anneal_curve(trace, seed));
+      std::printf("anneal:%u best peak @25..400 evals:", seed);
+      for (const std::size_t peak : curves.back()) std::printf(" %zu", peak);
+      std::printf(" (greedy %zu)\n", rows[0].result.best_sim.peak_footprint);
+    }
+
     std::fprintf(json, "%s\n    {\n      \"workload\": \"%s\",\n",
                  first_workload ? "" : ",", w.name.c_str());
     std::fprintf(json, "      \"events\": %zu,\n", trace->size());
@@ -144,6 +265,31 @@ int main(int argc, char** argv) {
     }
     std::fprintf(json, "\n      ],\n");
     std::fprintf(json,
+                 "      \"anneal_speculation\": {\"evals\": 400, "
+                 "\"wall_1t_s\": %.5f, \"wall_4t_s\": %.5f, "
+                 "\"rounds\": %llu, \"committed\": %llu, "
+                 "\"committed_per_round\": %.3f, \"replays\": %llu, "
+                 "\"discarded\": %llu, \"thread_identical\": %s},\n",
+                 spec.wall_1t, spec.wall_4t,
+                 static_cast<unsigned long long>(spec.stats.rounds),
+                 static_cast<unsigned long long>(spec.stats.committed),
+                 per_round, static_cast<unsigned long long>(spec.stats.replays),
+                 static_cast<unsigned long long>(spec.stats.discarded),
+                 spec.thread_identical ? "true" : "false");
+    std::fprintf(json,
+                 "      \"anneal_curve\": {\"greedy_peak\": %zu, "
+                 "\"evals_step\": %zu, \"seeds\": [",
+                 rows[0].result.best_sim.peak_footprint, kCurveStep);
+    for (std::size_t c = 0; c < curves.size(); ++c) {
+      std::fprintf(json, "%s{\"seed\": %u, \"best_peak\": [",
+                   c == 0 ? "" : ", ", kCurveSeeds[c]);
+      for (std::size_t k = 0; k < curves[c].size(); ++k) {
+        std::fprintf(json, "%s%zu", k == 0 ? "" : ", ", curves[c][k]);
+      }
+      std::fprintf(json, "]}");
+    }
+    std::fprintf(json, "]},\n");
+    std::fprintf(json,
                  "      \"fig4_trap\": {\"greedy_peak\": %zu, "
                  "\"beam2_peak\": %zu, \"escaped\": %s}\n    }",
                  trap_greedy.best_sim.peak_footprint,
@@ -152,14 +298,22 @@ int main(int argc, char** argv) {
     first_workload = false;
   }
 
-  std::fprintf(json, "\n  ],\n  \"fig4_gate_passed\": %s\n}\n",
-               fig4_gate_passed ? "true" : "false");
+  std::fprintf(json,
+               "\n  ],\n  \"fig4_gate_passed\": %s,\n"
+               "  \"anneal_thread_identical\": %s\n}\n",
+               fig4_gate_passed ? "true" : "false",
+               thread_gate_passed ? "true" : "false");
   std::fclose(json);
   std::printf("\nwrote %s\n", args.out.c_str());
   if (!fig4_gate_passed) {
     std::fprintf(stderr,
                  "FAIL: BeamSearch(2) did not match or beat greedy on the "
                  "Fig. 4 adversarial order\n");
+    return 1;
+  }
+  if (!thread_gate_passed) {
+    std::fprintf(stderr,
+                 "FAIL: annealing at 4 threads diverged from 1 thread\n");
     return 1;
   }
   return 0;

@@ -35,6 +35,12 @@ void ScoreCache::insert_canonical(const alloc::DmmConfig& canon,
   if (!inserted && upgrades(entry, it->second)) it->second = entry;
 }
 
+bool ScoreCache::probe_canonical(const alloc::DmmConfig& canon,
+                                 std::size_t peak_cutoff) {
+  const auto it = map_.find(canon);
+  return it != map_.end() && serves(it->second, peak_cutoff);
+}
+
 // ---------------------------------------------------------------------------
 // SharedScoreCache
 // ---------------------------------------------------------------------------
@@ -121,6 +127,16 @@ void SharedScoreCache::Session::insert_canonical(const alloc::DmmConfig& canon,
   if (owner_->insert_locked(shard, key, entry, search_id_)) {
     owner_->insertions_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+bool SharedScoreCache::Session::probe_canonical(const alloc::DmmConfig& canon,
+                                                std::size_t peak_cutoff) {
+  const Key key{trace_fingerprint_, canon};
+  Shard& shard = owner_->shard_for(key);
+  const std::lock_guard<std::mutex> lock(shard.m);
+  const auto it = shard.map.find(key);
+  return it != shard.map.end() &&
+         CandidateCache::serves(it->second.entry, peak_cutoff);
 }
 
 bool SharedScoreCache::insert_locked(Shard& shard, const Key& key,
@@ -274,6 +290,54 @@ EvalOutcome score_candidate(const TraceSource& trace, const EvalJob& job) {
   return out;
 }
 
+namespace {
+
+/// The policy core of a speculative replay behind its job's cancellation
+/// flag: once the job is withdrawn, every allocation fails and every free
+/// is dropped, so the rest of the replay costs next to nothing instead of
+/// holding a runner (a wrong guess can be a vector that replays 20x slower
+/// than any the walk visits).  A withdrawn job's outcome is never read; the
+/// blocks it dropped stay in its own arena, which its destructor reclaims.
+class CancellableCore final : public alloc::Allocator {
+ public:
+  /// @p abort (may be null) cuts the replay short like a cancellation.
+  CancellableCore(alloc::PolicyCore& core, const std::atomic<bool>& cancelled,
+                  const std::atomic<bool>* abort)
+      : Allocator(core.arena()),
+        core_(core),
+        cancelled_(cancelled),
+        abort_(abort) {}
+
+  void* allocate(std::size_t bytes) override {
+    return live() ? core_.allocate(bytes) : nullptr;
+  }
+  void deallocate(void* ptr) override {
+    if (live()) core_.deallocate(ptr);
+  }
+  [[nodiscard]] std::size_t usable_size(const void* ptr) const override {
+    return core_.usable_size(ptr);
+  }
+  [[nodiscard]] std::string name() const override { return core_.name(); }
+  void set_phase(std::uint16_t phase) override { core_.set_phase(phase); }
+
+  /// The replay was cut short: its result is garbage.
+  [[nodiscard]] bool cut() const { return cut_; }
+
+ private:
+  bool live() {
+    cut_ = cut_ || cancelled_.load(std::memory_order_relaxed) ||
+           (abort_ != nullptr && abort_->load(std::memory_order_relaxed));
+    return !cut_;
+  }
+
+  alloc::PolicyCore& core_;
+  const std::atomic<bool>& cancelled_;
+  const std::atomic<bool>* abort_;
+  bool cut_ = false;
+};
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // EvalEngine streaming session
 // ---------------------------------------------------------------------------
@@ -295,6 +359,7 @@ void EvalEngine::stream_begin(const TraceSource& trace,
   // The fingerprint keys the full-skip store; skip the O(events) hash
   // when no store is configured.
   stream_trace_fp_ = checkpoints_ != nullptr ? trace.fingerprint() : 0;
+  speculative_ = false;
   slots_.clear();
   pending_canon_.clear();
   emitted_ = 0;
@@ -385,6 +450,36 @@ std::vector<EvalOutcome> EvalEngine::stream_drain() {
   return out;
 }
 
+void EvalEngine::speculate_begin(const TraceSource& trace) {
+  stream_begin(trace, nullptr);
+  speculative_ = true;
+}
+
+std::size_t EvalEngine::speculate_submit(const EvalJob& job) {
+  stream_submit(job);
+  return slots_.size() - 1;
+}
+
+EvalOutcome EvalEngine::speculate_wait(std::size_t id) {
+  StreamSlot& slot = *slots_[id];
+  if (!slot.done.load(std::memory_order_acquire)) wait_alone(slot);
+  return slot.out;
+}
+
+void EvalEngine::speculate_cancel(std::size_t id) {
+  slots_[id]->cancelled.store(true, std::memory_order_relaxed);
+}
+
+std::uint64_t EvalEngine::speculate_end() {
+  std::uint64_t replayed = 0;
+  for (const std::unique_ptr<StreamSlot>& slot : slots_) {
+    if (!slot->done.load(std::memory_order_acquire)) wait_slot(*slot);
+    replayed += slot->replayed ? 1 : 0;
+  }
+  (void)stream_drain();
+  return replayed;
+}
+
 void EvalEngine::configure_incremental(std::shared_ptr<CheckpointStore> store,
                                        bool verify) {
   checkpoints_ = std::move(store);
@@ -401,15 +496,41 @@ EvalOutcome EvalEngine::compute(const EvalJob& job) const {
   return score_candidate(*stream_trace_, job);
 }
 
-void EvalEngine::dispatch(StreamSlot& slot) {
-  slot.out = compute(slot.job);
+bool EvalEngine::complete(StreamSlot& slot,
+                          const std::atomic<bool>* abort) const {
+  if (!speculative_) {
+    slot.out = compute(slot.job);
+  } else if (!slot.cancelled.load(std::memory_order_relaxed)) {
+    // Cold like a cutoff job, and never through the full-skip store: a
+    // guess that is discarded must not publish a lineage.
+    sysmem::SystemArena arena;
+    alloc::PolicyCore core(arena, slot.job.cfg, "candidate",
+                           /*strict_accounting=*/false);
+    CancellableCore replay(core, slot.cancelled, abort);
+    SimReplayOptions opts;
+    opts.peak_cutoff = slot.job.peak_cutoff;
+    const SimResult sim = simulate(*stream_trace_, replay, opts);
+    slot.replayed = true;
+    if (replay.cut() && !slot.cancelled.load(std::memory_order_relaxed)) {
+      return false;  // aborted: the job is still wanted whole
+    }
+    slot.out.tag = slot.job.tag;
+    slot.out.sim = sim;
+    slot.out.work_steps = core.work_steps();
+    slot.out.replayed_events = sim.events;
+  }
   slot.done.store(true, std::memory_order_release);
+  return true;
 }
+
+void EvalEngine::dispatch(StreamSlot& slot) { (void)complete(slot); }
 
 void EvalEngine::wait_slot(StreamSlot& slot) {
   // Inline dispatch already completed the slot.
   (void)slot;
 }
+
+void EvalEngine::wait_alone(StreamSlot& slot) { wait_slot(slot); }
 
 // ---------------------------------------------------------------------------
 // ThreadPoolEngine
@@ -500,8 +621,11 @@ void ThreadPoolEngine::run_slot(StreamSlot& slot) {
     const std::lock_guard<std::mutex> lock(m_);
     --pending_;
   }
-  slot.out = compute(slot.job);
-  slot.done.store(true, std::memory_order_release);
+  (void)complete(slot);
+  signal_done();
+}
+
+void ThreadPoolEngine::signal_done() {
   {
     // Empty critical section: a waiter that saw done == false must reach
     // its cv wait before the notification fires, or miss it.
@@ -523,6 +647,53 @@ void ThreadPoolEngine::wait_slot(StreamSlot& slot) {
     done_cv_.wait(lock,
                   [&] { return slot.done.load(std::memory_order_acquire); });
   }
+}
+
+void ThreadPoolEngine::wait_alone(StreamSlot& slot) {
+  // The coordinating thread waits for @p slot alone: it runs the slot
+  // inline if no runner has taken it yet, and otherwise works queued jobs
+  // under an abort — a job still replaying when the slot is done goes back
+  // on the deque, to restart later, rather than hold the thread past it.
+  const std::size_t self = queues_.size() - 1;
+  while (!slot.done.load(std::memory_order_acquire)) {
+    StreamSlot* job = take(slot) ? &slot : next_slot(self);
+    if (job == nullptr) {
+      std::unique_lock<std::mutex> lock(m_);
+      done_cv_.wait(lock,
+                    [&] { return slot.done.load(std::memory_order_acquire); });
+      return;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      --pending_;
+    }
+    if (complete(*job, job == &slot ? nullptr : &slot.done)) {
+      signal_done();
+      continue;
+    }
+    WorkerQueue& own = *queues_[self];
+    {
+      const std::lock_guard<std::mutex> lock(own.m);
+      own.q.push_back(job);
+    }
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      ++pending_;
+    }
+    work_ready_.notify_one();
+  }
+}
+
+bool ThreadPoolEngine::take(StreamSlot& slot) {
+  for (const std::unique_ptr<WorkerQueue>& wq : queues_) {
+    const std::lock_guard<std::mutex> lock(wq->m);
+    const auto it = std::find(wq->q.begin(), wq->q.end(), &slot);
+    if (it != wq->q.end()) {
+      wq->q.erase(it);
+      return true;
+    }
+  }
+  return false;
 }
 
 std::unique_ptr<EvalEngine> make_engine(unsigned num_threads) {

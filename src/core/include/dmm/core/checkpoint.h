@@ -39,7 +39,12 @@ namespace dmm::core {
 class CheckpointStore {
  public:
   /// Baseline lineages kept per trace (least-recently-used eviction).
-  static constexpr std::size_t kMaxLineagesPerTrace = 8;
+  /// Only a full skip marks a lineage used, so the cap must hold a walk's
+  /// cold replays until the next step can skip from the one it steps
+  /// from: a greedy walk replays ~20 cold, and at 8 the DRR walk's best
+  /// lineage was always evicted first (0 full skips at 6,000 events; 1 at
+  /// 16 or 64, where beam:2 also gains 1-2).  A lineage is ~200 B.
+  static constexpr std::size_t kMaxLineagesPerTrace = 64;
 
   /// Monotonic counters (relaxed atomics; exact in single-thread runs).
   struct Stats {

@@ -87,6 +87,10 @@ class CandidateCache {
   /// Stores @p entry, or upgrades a lower-bound entry (see upgrades()).
   virtual void insert_canonical(const alloc::DmmConfig& canon,
                                 const Entry& entry) = 0;
+  /// True iff lookup_canonical(@p canon, ..., @p peak_cutoff) would hit
+  /// now.  Read-only: no hit is counted and no recency is touched.
+  [[nodiscard]] virtual bool probe_canonical(const alloc::DmmConfig& canon,
+                                             std::size_t peak_cutoff) = 0;
 
   /// True iff @p stored answers a job with @p peak_cutoff: always when it
   /// is exact, and when it is a lower bound already above a non-zero
@@ -122,6 +126,8 @@ class ScoreCache final : public CandidateCache {
                                       std::size_t peak_cutoff = 0) override;
   void insert_canonical(const alloc::DmmConfig& canon,
                         const Entry& entry) override;
+  [[nodiscard]] bool probe_canonical(const alloc::DmmConfig& canon,
+                                     std::size_t peak_cutoff) override;
 
   [[nodiscard]] std::size_t size() const { return map_.size(); }
   void clear() { map_.clear(); }
@@ -230,6 +236,8 @@ class SharedScoreCache {
                                         std::size_t peak_cutoff = 0) override;
     void insert_canonical(const alloc::DmmConfig& canon,
                           const Entry& entry) override;
+    [[nodiscard]] bool probe_canonical(const alloc::DmmConfig& canon,
+                                       std::size_t peak_cutoff) override;
 
     /// Hits served from entries another search of this process replayed
     /// (disjoint from persisted_hits()).
@@ -440,6 +448,23 @@ class EvalEngine {
   /// order), and closes the session.
   [[nodiscard]] std::vector<EvalOutcome> stream_drain();
 
+  /// Speculative session (AnnealingSearch's pre-fetch): jobs submitted
+  /// between speculate_begin() and speculate_end() replay cold on the
+  /// runners — no cache, no in-session dedup, no full-skip store, so
+  /// nothing is consulted or published — and the caller collects each one
+  /// by id, in any order, or withdraws it.  Occupies the engine's one
+  /// streaming session.
+  void speculate_begin(const TraceSource& trace);
+  /// Submits @p job (pooled engines start it at once); returns its id.
+  [[nodiscard]] std::size_t speculate_submit(const EvalJob& job);
+  /// Blocks until job @p id is done and returns its outcome.
+  [[nodiscard]] EvalOutcome speculate_wait(std::size_t id);
+  /// Withdraws job @p id: a runner skips it, or cuts its replay short.
+  void speculate_cancel(std::size_t id);
+  /// Waits for the jobs already started and closes the session; returns
+  /// how many jobs actually replayed.
+  std::uint64_t speculate_end();
+
   /// Routes this engine's replays through the incremental full-skip store
   /// (nullptr restores cold replays).  With @p verify every full skip also
   /// replays cold and the results are compared bit-for-bit (the cold
@@ -464,17 +489,30 @@ class EvalEngine {
     std::size_t dup_of = 0;  ///< owner slot index when kind == kDup
     EvalOutcome out{};
     std::atomic<bool> done{false};
+    std::atomic<bool> cancelled{false};  ///< speculate_cancel()
+    bool replayed = false;  ///< a speculative replay ran (read once done)
   };
 
-  /// Starts computing slot.out for a kRun slot.  The default runs compute()
-  /// inline on the calling thread; pooled engines enqueue instead.
+  /// Starts computing slot.out for a kRun slot.  The default runs
+  /// complete() inline on the calling thread; pooled engines enqueue
+  /// instead.
   virtual void dispatch(StreamSlot& slot);
   /// Blocks until slot.done (default: no-op — inline dispatch completed).
+  /// Pooled engines run queued jobs meanwhile.
   virtual void wait_slot(StreamSlot& slot);
+  /// Like wait_slot(), but returns as soon as @p slot is done: a pooled
+  /// engine drops a queued job it is running then (see complete()).
+  virtual void wait_alone(StreamSlot& slot);
 
   /// Scores one job against the session trace, honoring the incremental
   /// configuration.  Safe from any thread during a session.
   [[nodiscard]] EvalOutcome compute(const EvalJob& job) const;
+  /// Computes slot.out and marks the slot done.  A speculative session's
+  /// slot replays cold and stops early once cancelled; once @p abort is
+  /// set it stops too, but then returns false with the slot not done, to
+  /// be run again.
+  bool complete(StreamSlot& slot,
+                const std::atomic<bool>* abort = nullptr) const;
 
  private:
   /// Emits ready outcomes from the session front; blocks per slot iff
@@ -490,6 +528,7 @@ class EvalEngine {
   CandidateCache* stream_cache_ = nullptr;
   std::uint64_t stream_trace_fp_ = 0;
   bool streaming_ = false;
+  bool speculative_ = false;  ///< speculate_begin() opened the session
 
   std::shared_ptr<CheckpointStore> checkpoints_;
   bool verify_incremental_ = false;
@@ -518,6 +557,9 @@ class SerialEngine : public EvalEngine {
 /// in the submitting session's slots, keeping result order deterministic.
 /// stream_poll() never runs jobs, so with num_threads == 1 (no worker)
 /// every job waits for the drain; make_engine() uses SerialEngine there.
+/// In a speculative session the coordinating thread still runs queued
+/// jobs while it waits (wait_alone), but puts one back the moment the job
+/// it waits for is done.
 class ThreadPoolEngine : public EvalEngine {
  public:
   /// @param num_threads  runner count, the coordinating thread included;
@@ -536,11 +578,16 @@ class ThreadPoolEngine : public EvalEngine {
  protected:
   void dispatch(StreamSlot& slot) override;
   void wait_slot(StreamSlot& slot) override;
+  void wait_alone(StreamSlot& slot) override;
 
  private:
   void worker_main(std::size_t self);
   /// Computes one popped slot and signals its completion.
   void run_slot(StreamSlot& slot);
+  /// Wakes the threads waiting for a slot to finish.
+  void signal_done();
+  /// Removes @p slot from whichever deque holds it; false if none does.
+  [[nodiscard]] bool take(StreamSlot& slot);
   /// Pops from own deque (back) or steals (front); null when drained.
   [[nodiscard]] StreamSlot* next_slot(std::size_t self);
 

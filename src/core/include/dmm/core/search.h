@@ -289,6 +289,8 @@ struct BestTracker {
 ///     tracking, recording best/best_sim/work_steps/evals_to_best.
 ///   * canonical_duplicate() — the canonical seen-set behind the quotient
 ///     prunes, counting canonical_skips.
+///   * speculate()/commit() — replays that charge nothing until committed
+///     in trajectory order (AnnealingSearch's pre-fetch).
 ///   * finish() — harvests the cache session's cross-search/persisted hit
 ///     counters and assembles the ExplorationResult.
 ///
@@ -351,6 +353,34 @@ class SearchContext {
   void submit(const EvalJob& job);
   [[nodiscard]] std::vector<EvalOutcome> poll();
   [[nodiscard]] std::vector<EvalOutcome> drain();
+
+  /// Speculation (AnnealingSearch's pre-fetch), single-trace mode only.
+  /// Between speculate_begin() and speculate_end(), speculate() hands a
+  /// job to the engine to replay on a free runner without inserting into
+  /// the score cache, consulting or publishing to the full-skip store, or
+  /// changing any counter; nothing is charged until commit().  Do not call
+  /// evaluate() or submit() while speculating.
+  static constexpr std::size_t kNoReplay =
+      std::numeric_limits<std::size_t>::max();
+  void speculate_begin();
+  /// Starts a speculative replay of @p job and returns its handle, or
+  /// kNoReplay when the cache already answers the job (a read-only probe:
+  /// no hit is counted).
+  [[nodiscard]] std::size_t speculate(const EvalJob& job);
+  /// Withdraws a speculative replay whose outcome will not be used.
+  void discard(std::size_t replay);
+  /// Charges @p job exactly as evaluate({job}) would, in the order the
+  /// caller commits: a cache hit is charged as a hit and served the cached
+  /// entry (lower-bound entries included; @p replay is discarded); a miss
+  /// is served by @p replay — waiting for it, or replaying now when it is
+  /// kNoReplay — inserted, and charged as a simulation.  Outside a session
+  /// @p replay must be kNoReplay and this is evaluate({job}).
+  [[nodiscard]] EvalOutcome commit(const EvalJob& job, std::size_t replay);
+  /// Closes the session; returns how many speculative replays ran.
+  std::uint64_t speculate_end();
+
+  /// Runners of the engine behind this context (EvalEngine::threads()).
+  [[nodiscard]] unsigned runners() const { return engine_.threads(); }
 
   /// Evaluations charged so far — the budget every streaming strategy
   /// meters against.  One charge per scored candidate: replay-or-hit in
@@ -415,6 +445,7 @@ class SearchContext {
   ExplorationResult result_;
   std::uint64_t charged_ = 0;
   bool stream_open_ = false;
+  bool speculating_ = false;
   /// Family-mode streaming: jobs buffered between submit() and drain().
   std::vector<EvalJob> stream_pending_;
   bool competitive_ = false;
@@ -551,26 +582,91 @@ class RandomSearch final : public SearchStrategy {
 /// those of whole replays and only the replay work shrinks.  Time-weighted
 /// objectives, family mode, and an infeasible state or incumbent replay
 /// exactly (cutoff 0).
+///
+/// Speculation (pre-fetching, after Witte et al. and Brockwell): while a
+/// step's replay runs, the replays of the steps that may follow it run on
+/// the other engine runners.  Guesses form a tree grown from the committed
+/// walk: a step rejects (state kept, u drawn when T > 0), accepts with
+/// delta <= 0 (no u) or accepts uphill (u drawn), and a child's cutoff is
+/// predicted as if energy and incumbent stay put.  Missing branches are
+/// added best first — path probability (branch rates of the committed
+/// steps) times the mean replay length of the branch into them, since a
+/// guess saves what it overlaps of its parent's replay — until one guess
+/// per runner (SearchContext::runners()) is replaying.  Steps commit in
+/// trajectory order under one rule: a guess commits only if its job is
+/// exactly the EvalJob (same cfg and peak_cutoff) the sequential loop
+/// builds at that point; otherwise the whole tree is discarded and a new
+/// one grown (a round, in speculation()).  Replays are deterministic, so
+/// every committed outcome is the sequential one: trajectory, best,
+/// charges, evals_to_best and canonical_skips are the same at every thread
+/// count.  No guess reaches past max_evals or a step()'s eval_budget.  At
+/// one runner no guess is made: the plain sequential loop.  Family mode
+/// always runs at width 1: its jobs replay with no cutoff and fold whole
+/// batches, and it is not in any speed-critical path.  Discarded work is
+/// counted in speculation(), never in the ExplorationResult.
 class AnnealingSearch final : public SearchStrategy {
  public:
+  /// Speculation counters of the current (or last) run; all zero at one
+  /// runner.  `replays` and `discarded` depend on timing.
+  struct SpeculationStats {
+    std::uint64_t rounds = 0;     ///< trees grown from the committed walk
+    std::uint64_t committed = 0;  ///< evaluations committed by them
+    std::uint64_t replays = 0;    ///< speculative replays started
+    std::uint64_t discarded = 0;  ///< ... whose outcome no commit used
+  };
+
   explicit AnnealingSearch(AnnealingOptions opts = {});
   [[nodiscard]] std::string name() const override { return "anneal"; }
   void run(SearchContext& ctx) override;
   void reset() override { begun_ = false; }
   bool step(SearchContext& ctx, std::size_t eval_budget) override;
 
+  [[nodiscard]] const SpeculationStats& speculation() const {
+    return speculation_;
+  }
+
+  /// One point of the trajectory: everything the next step reads besides
+  /// the incumbent.
+  struct Walk {
+    alloc::DmmConfig state{};
+    double energy = 0.0;
+    double temp = 0.0;
+    std::size_t since_cool = 0;
+    std::mt19937 rng;
+  };
+
  private:
+  /// How a committed step left the state (kAccept: delta <= 0, no u
+  /// drawn; kUphill: accepted uphill); indexes branch_counts_.
+  enum Branch : std::uint8_t { kReject, kAccept, kUphill, kBranches };
+
+  struct Node;
+
+  /// Applies @p out (the scored proposal @p next, drawn leaving @p rng) to
+  /// the committed walk, offering it to the incumbent; returns the branch.
+  Branch advance(SearchContext& ctx, const alloc::DmmConfig& next,
+                 const std::mt19937& rng, const EvalOutcome& out);
+  /// A guess at the step from @p walk, its replay started when
+  /// @p speculating.
+  std::unique_ptr<Node> guess(SearchContext& ctx, Walk walk,
+                              bool speculating);
+  /// Adds the most probable missing branches under @p root until @p width
+  /// guesses replay or none lies within @p depth_cap steps.
+  void grow(SearchContext& ctx, Node& root, std::size_t width,
+            std::uint64_t depth_cap);
+  /// Withdraws the replays of a guessed subtree and frees it.
+  static void discard(SearchContext& ctx, std::unique_ptr<Node> node);
+
   AnnealingOptions anneal_;
-  // step() state: the SA trajectory (state/energy/temperature/rng) and the
-  // budget already charged.
+  // step() state: the committed walk, the budget already charged, and the
+  // branch counts that shape the speculation tree.
   bool begun_ = false;
   bool frozen_ = false;
-  std::mt19937 rng_;
-  alloc::DmmConfig state_{};
-  double energy_ = 0.0;
-  double temp_ = 0.0;
-  std::size_t since_cool_ = 0;
+  Walk walk_;
   std::uint64_t charged_ = 0;
+  std::uint64_t branch_counts_[kBranches] = {};
+  std::uint64_t branch_events_[kBranches] = {};  ///< events replayed
+  SpeculationStats speculation_;
 };
 
 /// AnnealingSearch's uphill test: a move raising the energy by @p delta > 0

@@ -162,6 +162,54 @@ std::vector<EvalOutcome> SearchContext::evaluate(
   return outcomes;
 }
 
+void SearchContext::speculate_begin() {
+  engine_.speculate_begin(*trace_);
+  speculating_ = true;
+}
+
+std::size_t SearchContext::speculate(const EvalJob& job) {
+  if (cache_.ptr != nullptr &&
+      cache_.ptr->probe_canonical(alloc::canonical(job.cfg),
+                                  job.peak_cutoff)) {
+    return kNoReplay;  // served at commit
+  }
+  return engine_.speculate_submit(job);
+}
+
+void SearchContext::discard(std::size_t replay) {
+  if (replay != kNoReplay) engine_.speculate_cancel(replay);
+}
+
+EvalOutcome SearchContext::commit(const EvalJob& job, std::size_t replay) {
+  if (!speculating_) return evaluate({job})[0];
+  // The engine's protocol for a one-job batch, run here in commit order.
+  const DmmConfig canon = alloc::canonical(job.cfg);
+  CandidateCache::Entry hit;
+  EvalOutcome out;
+  if (cache_.ptr != nullptr &&
+      cache_.ptr->lookup_canonical(canon, &hit, job.peak_cutoff)) {
+    discard(replay);
+    out.sim = hit.sim;
+    out.work_steps = hit.work_steps;
+    out.from_cache = true;
+  } else {
+    if (replay == kNoReplay) replay = engine_.speculate_submit(job);
+    out = engine_.speculate_wait(replay);
+    if (cache_.ptr != nullptr) {
+      cache_.ptr->insert_canonical(canon, {out.sim, out.work_steps});
+    }
+  }
+  out.tag = job.tag;
+  account(out);
+  ++charged_;
+  return out;
+}
+
+std::uint64_t SearchContext::speculate_end() {
+  speculating_ = false;
+  return engine_.speculate_end();
+}
+
 void SearchContext::submit(const EvalJob& job) {
   if (trace_ == nullptr) {
     // Family mode: member scoring folds whole batches — buffer for drain().
@@ -712,9 +760,211 @@ std::size_t anneal_peak_cutoff(double energy, double temp, double u,
 
 AnnealingSearch::AnnealingSearch(AnnealingOptions opts) : anneal_(opts) {}
 
+namespace {
+
+/// One proposal drawn from a walk: the next vector, the rng after its
+/// draws, and the canonical no-ops skipped on the way.
+struct Proposal {
+  DmmConfig next{};
+  std::mt19937 rng;
+  std::uint64_t canonical_skips = 0;
+  bool found = false;
+};
+
+/// Pure proposal step: mutate one tree of @p state to a different leaf,
+/// let repair() nudge only the trees a violated rule drags along (the
+/// mutated tree alone counts as decided, so e.g. flipping A5 pulls its
+/// schedules with it instead of dying on the A5<->E2/D2 coherence rules),
+/// then map into the quotient.  Dead-leaf mutations are canonical no-ops:
+/// skipped unscored and counted.  Not found after 256 draws: frozen.
+Proposal propose(const ExplorerOptions& opts, const DmmConfig& state,
+                 std::mt19937 rng) {
+  DmmConfig next{};
+  std::uint64_t skips = 0;
+  bool found = false;
+  for (int attempt = 0; attempt < 256 && !found; ++attempt) {
+    DmmConfig probe = state;
+    const TreeId tree = all_trees()[static_cast<std::size_t>(
+        uniform_leaf(rng, kTreeCount))];
+    const int n = leaf_count(tree);
+    const int cur = get_leaf(probe, tree);
+    set_leaf(probe, tree, (cur + 1 + uniform_leaf(rng, n - 1)) % n);
+    DecidedMask mutated{};
+    mutated[static_cast<std::size_t>(tree)] = true;
+    probe = Constraints::repair(probe, mutated);
+    if (!passes_rules(opts, probe)) continue;
+    probe = alloc::canonical(probe);
+    if (probe == state) {
+      ++skips;
+      continue;
+    }
+    next = probe;
+    found = true;
+  }
+  // Built whole: a default-constructed mt19937 would seed itself first.
+  return {next, rng, skips, found};
+}
+
+/// The job the sequential loop scores for proposal @p p from @p walk.
+/// Peak cutoff: every input of the proposal's fate but its own score is
+/// known now — the energy, the temperature, the incumbent, and the
+/// uniform the uphill test would draw (peeked from a copy of the rng).
+/// Past the cutoff the replay stops; the move is then certainly rejected
+/// and cannot be a new best.  Peak-only objectives on one trace: anything
+/// else replays exactly.
+EvalJob proposal_job(const SearchContext& ctx,
+                     const AnnealingSearch::Walk& walk, const Proposal& p,
+                     std::uint64_t tag) {
+  std::size_t cutoff = 0;
+  if (ctx.options().time_weight == 0.0 && !ctx.family()) {
+    std::mt19937 peek = p.rng;
+    const double u = walk.temp > 0.0 ? uniform_unit(peek) : 0.0;
+    cutoff = anneal_peak_cutoff(walk.energy, walk.temp, u,
+                                ctx.incumbent_objective());
+  }
+  return {p.next, tag, cutoff};
+}
+
+/// Geometric cooling after every evaluated proposal.
+void cool(AnnealingSearch::Walk& walk, const AnnealingOptions& anneal) {
+  if (++walk.since_cool >= anneal.moves_per_temp) {
+    walk.since_cool = 0;
+    walk.temp *= anneal.cooling;
+  }
+}
+
+}  // namespace
+
 void AnnealingSearch::run(SearchContext& ctx) {
   reset();
   while (step(ctx, anneal_.max_evals)) {
+  }
+}
+
+AnnealingSearch::Branch AnnealingSearch::advance(SearchContext& ctx,
+                                                 const DmmConfig& next,
+                                                 const std::mt19937& rng,
+                                                 const EvalOutcome& out) {
+  walk_.rng = rng;
+  Branch branch = kReject;
+  if (out.sim.stopped) {
+    // A certain rejection; the uphill test still consumes its draw so
+    // the trajectory matches a whole replay's.
+    if (walk_.temp > 0.0) (void)walk_.rng();
+  } else {
+    (void)ctx.offer_best(next, out);
+    const double next_energy = anneal_energy(ctx.options(), out);
+    const double delta = next_energy - walk_.energy;
+    if (delta <= 0.0) {
+      branch = kAccept;
+    } else if (walk_.temp > 0.0 &&
+               anneal_accepts_uphill(delta, walk_.temp,
+                                     uniform_unit(walk_.rng))) {
+      branch = kUphill;
+    }
+    if (branch != kReject) {
+      walk_.state = next;
+      walk_.energy = next_energy;
+    }
+  }
+  cool(walk_, anneal_);
+  ++branch_counts_[branch];
+  branch_events_[branch] += out.from_cache ? 0 : out.sim.events;
+  return branch;
+}
+
+/// One guessed step of the trajectory: the walk it predicts, the proposal
+/// and job drawn from it, its speculative replay, and the guesses grown
+/// from each of its branches.
+struct AnnealingSearch::Node {
+  Node(Walk w, Proposal p) : walk(std::move(w)), proposal(std::move(p)) {}
+
+  Walk walk;
+  Proposal proposal;
+  EvalJob job;
+  std::size_t replay = SearchContext::kNoReplay;
+  std::unique_ptr<Node> child[kBranches];
+};
+
+std::unique_ptr<AnnealingSearch::Node> AnnealingSearch::guess(
+    SearchContext& ctx, Walk walk, bool speculating) {
+  Proposal p = propose(ctx.options(), walk.state, walk.rng);
+  auto node = std::make_unique<Node>(std::move(walk), std::move(p));
+  if (node->proposal.found) {
+    node->job = proposal_job(ctx, node->walk, node->proposal, 0);
+    if (speculating) node->replay = ctx.speculate(node->job);
+  }
+  return node;
+}
+
+void AnnealingSearch::discard(SearchContext& ctx, std::unique_ptr<Node> node) {
+  if (node == nullptr) return;
+  ctx.discard(node->replay);
+  for (std::unique_ptr<Node>& child : node->child) {
+    discard(ctx, std::move(child));
+  }
+}
+
+void AnnealingSearch::grow(SearchContext& ctx, Node& root, std::size_t width,
+                           std::uint64_t depth_cap) {
+  // A guess saves the time its replay overlaps its parent's, so guesses
+  // rank by path probability times the mean replay length of the branch
+  // into them (an accepted parent replays whole, a rejected one usually
+  // stops early), both measured over the committed steps.
+  double rate[kBranches];
+  double overlap[kBranches];
+  const double total = static_cast<double>(
+      branch_counts_[kReject] + branch_counts_[kAccept] +
+      branch_counts_[kUphill] + kBranches);
+  for (int b = 0; b < kBranches; ++b) {
+    rate[b] = static_cast<double>(branch_counts_[b] + 1) / total;
+    overlap[b] = static_cast<double>(branch_events_[b] + 1) /
+                 static_cast<double>(branch_counts_[b] + 1);
+  }
+  // Guesses the cache answers are free, but each costs a proposal.
+  constexpr std::size_t kMaxGuesses = 4;
+  struct Slot {
+    Node* node;
+    double prob;
+    std::uint64_t depth;
+  };
+  for (;;) {
+    // The tree's replaying guesses, and its most valuable missing branch.
+    std::vector<Slot> nodes = {{&root, 1.0, 0}};
+    std::size_t replaying = 0;
+    Node* best = nullptr;
+    int best_branch = 0;
+    double best_value = -1.0;
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      const Slot at = nodes[k];
+      if (!at.node->proposal.found) continue;
+      // A guess the cache answers holds no runner.
+      if (at.node->replay != SearchContext::kNoReplay) ++replaying;
+      for (int b = 0; b < kBranches; ++b) {
+        if (b == kUphill && !(at.node->walk.temp > 0.0)) continue;
+        const double prob = at.prob * rate[b];
+        if (at.node->child[b] != nullptr) {
+          nodes.push_back({at.node->child[b].get(), prob, at.depth + 1});
+        } else if (at.depth + 1 < depth_cap && prob * overlap[b] > best_value) {
+          best = at.node;
+          best_branch = b;
+          best_value = prob * overlap[b];
+        }
+      }
+    }
+    if (replaying >= width || nodes.size() >= kMaxGuesses * width ||
+        best == nullptr) {
+      return;
+    }
+    // The branch's walk, with energy and incumbent predicted unchanged.
+    Walk walk = best->walk;
+    walk.rng = best->proposal.rng;
+    if (best_branch == kReject ? walk.temp > 0.0 : best_branch == kUphill) {
+      (void)walk.rng();  // the uphill test's u
+    }
+    if (best_branch != kReject) walk.state = best->proposal.next;
+    cool(walk, anneal_);
+    best->child[best_branch] = guess(ctx, std::move(walk), true);
   }
 }
 
@@ -725,92 +975,76 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     begun_ = true;
     frozen_ = false;
     charged_ = 0;
-    since_cool_ = 0;
-    rng_.seed(anneal_.seed);
+    std::fill(std::begin(branch_counts_), std::end(branch_counts_), 0);
+    std::fill(std::begin(branch_events_), std::end(branch_events_), 0);
+    speculation_ = {};
+    walk_.rng.seed(anneal_.seed);
+    walk_.since_cool = 0;
 
     // Start state: the repaired defaults — with nothing decided, repair()
     // completes them into a valid vector — mapped into the quotient.
     const DecidedMask none{};
-    state_ = alloc::canonical(Constraints::repair(opts.defaults, none));
-    const std::vector<EvalOutcome> out = ctx.evaluate({{state_, 0}});
-    (void)ctx.offer_best(state_, out[0]);
-    energy_ = anneal_energy(opts, out[0]);
-    temp_ = anneal_.initial_temp * std::max(1.0, energy_);
+    walk_.state = alloc::canonical(Constraints::repair(opts.defaults, none));
+    const std::vector<EvalOutcome> out = ctx.evaluate({{walk_.state, 0}});
+    (void)ctx.offer_best(walk_.state, out[0]);
+    walk_.energy = anneal_energy(opts, out[0]);
+    walk_.temp = anneal_.initial_temp * std::max(1.0, walk_.energy);
     ++charged_;
     ++stepped;
   }
 
+  // One replaying guess per engine runner; family mode stays at width 1.
+  const std::size_t width = ctx.family() ? 1 : std::max(1u, ctx.runners());
+  const bool speculating = width > 1;
+  if (speculating) ctx.speculate_begin();
+  std::uint64_t used = 0;
+  std::unique_ptr<Node> root;
   while (!frozen_ && charged_ < anneal_.max_evals && stepped < eval_budget) {
-    // Propose: mutate one tree to a different leaf, let repair() nudge
-    // only the trees a violated rule drags along (the mutated tree alone
-    // counts as decided, so e.g. flipping A5 pulls its schedules with it
-    // instead of dying on the A5<->E2/D2 coherence rules), then map into
-    // the quotient.  Dead-leaf mutations are canonical no-ops: skipped
-    // unscored, reported as canonical_skips.
-    DmmConfig next{};
-    bool found = false;
-    for (int attempt = 0; attempt < 256 && !found; ++attempt) {
-      DmmConfig probe = state_;
-      const TreeId tree = all_trees()[static_cast<std::size_t>(
-          uniform_leaf(rng_, kTreeCount))];
-      const int n = leaf_count(tree);
-      const int cur = get_leaf(probe, tree);
-      set_leaf(probe, tree, (cur + 1 + uniform_leaf(rng_, n - 1)) % n);
-      DecidedMask mutated{};
-      mutated[static_cast<std::size_t>(tree)] = true;
-      probe = Constraints::repair(probe, mutated);
-      if (!passes_rules(opts, probe)) continue;
-      probe = alloc::canonical(probe);
-      if (probe == state_) {
-        ++ctx.result().canonical_skips;
-        continue;
+    // The job the sequential loop builds here.  A guess commits only if
+    // it is exactly this job; otherwise the whole guessed tree goes.
+    if (root != nullptr) {
+      Proposal p = propose(opts, walk_.state, walk_.rng);
+      const EvalJob job = proposal_job(ctx, walk_, p, 0);
+      if (!p.found || job.cfg != root->job.cfg ||
+          job.peak_cutoff != root->job.peak_cutoff) {
+        discard(ctx, std::move(root));
+      } else {
+        // The guess's outcome is this step's; what grows from it now
+        // starts from the committed walk and its own draws.
+        root->walk = walk_;
+        root->proposal = std::move(p);
       }
-      next = probe;
-      found = true;
     }
-    if (!found) {
+    if (root == nullptr) {
+      root = guess(ctx, walk_, speculating);
+      if (speculating) ++speculation_.rounds;
+    }
+    const Proposal& p = root->proposal;
+    if (!p.found) {
       frozen_ = true;  // no admissible neighbour in 256 draws
       break;
     }
-
-    // Peak cutoff: every input of this proposal's fate but its own score
-    // is known now — the energy, the temperature, the incumbent, and the
-    // uniform the uphill test would draw (peeked from a copy of the rng).
-    // Past the cutoff the replay stops; the move is then certainly
-    // rejected and cannot be a new best.  Peak-only objectives on one
-    // trace: anything else replays exactly.
-    std::size_t cutoff = 0;
-    if (opts.time_weight == 0.0 && !ctx.family()) {
-      std::mt19937 peek = rng_;
-      const double u = temp_ > 0.0 ? uniform_unit(peek) : 0.0;
-      cutoff = anneal_peak_cutoff(energy_, temp_, u,
-                                  ctx.incumbent_objective());
+    if (speculating) {
+      grow(ctx, *root, width,
+           std::min<std::uint64_t>(anneal_.max_evals - charged_,
+                                   eval_budget - stepped));
     }
-    const std::vector<EvalOutcome> out = ctx.evaluate({{next, 0, cutoff}});
+    const EvalOutcome out = ctx.commit(root->job, root->replay);
+    if (root->replay != SearchContext::kNoReplay && !out.from_cache) ++used;
+    ctx.result().canonical_skips += p.canonical_skips;
     ++charged_;
     ++stepped;
-    bool accept = false;
-    double next_energy = 0.0;
-    if (out[0].sim.stopped) {
-      // A certain rejection; the uphill test still consumes its draw so
-      // the trajectory matches a whole replay's.
-      if (temp_ > 0.0) (void)rng_();
-    } else {
-      (void)ctx.offer_best(next, out[0]);
-      next_energy = anneal_energy(opts, out[0]);
-      const double delta = next_energy - energy_;
-      accept = delta <= 0.0 ||
-               (temp_ > 0.0 &&
-                anneal_accepts_uphill(delta, temp_, uniform_unit(rng_)));
-    }
-    if (accept) {
-      state_ = next;
-      energy_ = next_energy;
-    }
-    if (++since_cool_ >= anneal_.moves_per_temp) {
-      since_cool_ = 0;
-      temp_ *= anneal_.cooling;
-    }
+    if (speculating) ++speculation_.committed;
+    const Branch branch = advance(ctx, p.next, p.rng, out);
+    std::unique_ptr<Node> next = std::move(root->child[branch]);
+    discard(ctx, std::move(root));
+    root = std::move(next);
+  }
+  discard(ctx, std::move(root));
+  if (speculating) {
+    const std::uint64_t replays = ctx.speculate_end();
+    speculation_.replays += replays;
+    speculation_.discarded += replays - used;
   }
   return !frozen_ && charged_ < anneal_.max_evals;
 }

@@ -271,6 +271,32 @@ TEST(Incremental, CutoffJobsReplayColdAndLandAsLowerBounds) {
   EXPECT_EQ(store->stats().verify_failures, 0u);
 }
 
+TEST(Incremental, GreedyWalkFullSkipsFromTheLineageItStepsFrom) {
+  // The greedy walk steps from each tree's winner; the next tree's
+  // candidates differ from it in one knob group, and one of them on DRR
+  // never consults its group — but only if the winner's lineage is still
+  // stored when that candidate is planned (kMaxLineagesPerTrace).
+  AllocTrace recorded =
+      workloads::record_trace(workloads::case_study("drr"), 1);
+  recorded.events().resize(6000);
+  recorded.close_leaks();
+  const auto trace = std::make_shared<const AllocTrace>(std::move(recorded));
+  ExplorerOptions off;
+  Explorer cold(trace, off);
+  const ExplorationResult cold_result = cold.explore(paper_order());
+
+  ExplorerOptions on;
+  on.incremental = true;
+  on.verify_incremental = true;
+  Explorer inc(trace, on);
+  const ExplorationResult inc_result = inc.explore(paper_order());
+  expect_same_search(cold_result, inc_result, "incremental greedy");
+  EXPECT_GE(inc_result.full_skips, 1u);
+  const CheckpointStore::Stats stats = inc.engine().checkpoint_store()->stats();
+  EXPECT_GE(stats.verified_ok, 1u);
+  EXPECT_EQ(stats.verify_failures, 0u);
+}
+
 TEST(Incremental, BeamWalkFullSkipsReplayFewerEventsThanCold) {
   const auto trace =
       std::make_shared<const AllocTrace>(workload_trace("drr", 3000));

@@ -9,7 +9,9 @@
 //    per-search / shared / persisted cache scopes (only the replay/hit
 //    split may shift),
 //  * AnnealingSearch is deterministic for a fixed seed, and golden pins fix
-//    what seeds 1/5/17 (and a portfolio) land on, charge, and when,
+//    what seeds 1/5/17 (and a portfolio) land on, charge, and when — at
+//    1/2/4/8 threads, so speculative pre-fetching changes none of it, nor
+//    a two-phase design_manager() run, nor a step() slice's budget,
 //  * random_search's opt-in canonical prune skips duplicate draws without
 //    charging them,
 //  * the B2/B3 single-pool alias audit: B3 collapses in canonical() where
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "dmm/core/explorer.h"
+#include "dmm/core/methodology.h"
 #include "dmm/core/search.h"
 #include "dmm/workloads/workload.h"
 
@@ -404,25 +407,125 @@ TEST_F(SearchStrategies, GoldenAnnealPins) {
        131072u, 100340.25239005736, 38789u, 35u, 0u, 400u},
   };
   const unsigned seeds[] = {1u, 5u, 17u};
-  for (std::size_t i = 0; i < 3; ++i) {
-    AnnealingOptions opts;
-    opts.seed = seeds[i];
-    const std::string what = "anneal:" + std::to_string(seeds[i]);
-    AnnealingSearch fixture_sa(opts);
-    expect_pin(Explorer(trace_).run(fixture_sa), fixture_pins[i],
-               what + " fixture");
-    AnnealingSearch drr_sa(opts);
-    expect_pin(Explorer(drr).run(drr_sa), drr_pins[i], what + " drr");
+  // Every pin holds at every thread count, accounting included: the
+  // speculative replays of 2+ runners commit only the sequential outcomes.
+  std::vector<ExplorationResult> serial;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    ExplorerOptions topts;
+    topts.num_threads = threads;
+    const std::string at = " @" + std::to_string(threads);
+    std::vector<ExplorationResult> results;
+    for (std::size_t i = 0; i < 3; ++i) {
+      AnnealingOptions opts;
+      opts.seed = seeds[i];
+      const std::string what = "anneal:" + std::to_string(seeds[i]);
+      AnnealingSearch fixture_sa(opts);
+      results.push_back(Explorer(trace_, topts).run(fixture_sa));
+      expect_pin(results.back(), fixture_pins[i], what + " fixture" + at);
+      AnnealingSearch drr_sa(opts);
+      results.push_back(Explorer(drr, topts).run(drr_sa));
+      expect_pin(results.back(), drr_pins[i], what + " drr" + at);
+      // Speculation really ran: the invariance is not a width-1 rerun.
+      EXPECT_EQ(drr_sa.speculation().rounds > 0, threads > 1) << what << at;
+    }
+    ExplorerOptions opts = topts;
+    opts.search = *parse_search_spec("portfolio:greedy+beam:4+anneal");
+    results.push_back(Explorer(trace_, opts).run());
+    expect_pin(results.back(),
+               {"A1=size-bst A2=many A3=header+footer A4=size+status "
+                "A5=split+coalesce B1=single-pool B2=linked-list B3=one "
+                "B4=grow+shrink C1=exact-fit C2=size-ordered D1=not-fixed "
+                "D2=always E1=not-fixed E2=always",
+                2457600u, 1413880.7079377137, 46606u, 439u, 0u, 556u},
+               "portfolio:greedy+beam:4+anneal" + at);
+    if (threads == 1) {
+      serial = std::move(results);
+      continue;
+    }
+    ASSERT_EQ(results.size(), serial.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      expect_identical_with_accounting(
+          results[i], serial[i], "pin run " + std::to_string(i) + at);
+    }
   }
+}
+
+TEST_F(SearchStrategies, AnnealStepSlicesNeverCommitPastTheirBudget) {
+  // A portfolio deals annealing its budget in slices; speculation may
+  // guess past a slice's edge but must never charge past it.  Odd slices
+  // at 4 runners land on exactly the uninterrupted 1-runner trajectory.
+  const std::unique_ptr<EvalEngine> serial_engine = make_engine(1);
   ExplorerOptions opts;
-  opts.search = *parse_search_spec("portfolio:greedy+beam:4+anneal");
-  expect_pin(Explorer(trace_, opts).run(),
-             {"A1=size-bst A2=many A3=header+footer A4=size+status "
-              "A5=split+coalesce B1=single-pool B2=linked-list B3=one "
-              "B4=grow+shrink C1=exact-fit C2=size-ordered D1=not-fixed "
-              "D2=always E1=not-fixed E2=always",
-              2457600u, 1413880.7079377137, 46606u, 439u, 0u, 556u},
-             "portfolio:greedy+beam:4+anneal");
+  SearchContext whole_ctx(trace_, trace_.fingerprint(), opts,
+                          *serial_engine);
+  AnnealingSearch whole;
+  whole.run(whole_ctx);
+  const ExplorationResult reference = whole_ctx.finish();
+
+  const std::unique_ptr<EvalEngine> engine = make_engine(4);
+  SearchContext ctx(trace_, trace_.fingerprint(), opts, *engine);
+  AnnealingSearch sliced;
+  sliced.reset();
+  bool more = true;
+  for (std::size_t turn = 0; more; ++turn) {
+    const std::size_t slice = 1 + turn % 7;
+    const std::uint64_t before = ctx.evaluations();
+    more = sliced.step(ctx, slice);
+    const std::uint64_t used = ctx.evaluations() - before;
+    EXPECT_LE(used, slice) << "turn " << turn;
+    if (more) {
+      EXPECT_EQ(used, slice) << "turn " << turn;
+    }
+  }
+  EXPECT_EQ(ctx.evaluations(), 400u);
+  expect_identical_with_accounting(ctx.finish(), reference,
+                                   "sliced anneal @4");
+
+  // The portfolio pin's 556 evaluations, child by child, at 1 and 4.
+  std::vector<ChildSearchReport> children[2];
+  for (const unsigned threads : {1u, 4u}) {
+    ExplorerOptions popts;
+    popts.num_threads = threads;
+    popts.search = *parse_search_spec("portfolio:greedy+beam:4+anneal");
+    const ExplorationResult r = Explorer(trace_, popts).run();
+    EXPECT_EQ(r.simulations + r.cache_hits, 556u) << threads;
+    children[threads == 1 ? 0 : 1] = r.children;
+  }
+  ASSERT_EQ(children[0].size(), 3u);
+  ASSERT_EQ(children[1].size(), 3u);
+  EXPECT_EQ(children[0][2].evaluations, 400u);
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(children[1][c].evaluations, children[0][c].evaluations) << c;
+    EXPECT_EQ(children[1][c].simulations, children[0][c].simulations) << c;
+    EXPECT_EQ(children[1][c].found_best, children[0][c].found_best) << c;
+  }
+}
+
+TEST(AnnealDesignManager, TwoPhaseDesignMatchesAcrossThreadCounts) {
+  // render3d has two phases, so 4 threads run two concurrent lanes of two
+  // runners each — two speculating searches at once.
+  const AllocTrace trace =
+      workloads::record_trace(workloads::case_study("render3d"), 1);
+  ASSERT_EQ(trace.stats().phases, 2u);
+  const auto design = [&](unsigned threads) {
+    MethodologyOptions opts;
+    opts.explorer_options.num_threads = threads;
+    opts.explorer_options.search = *parse_search_spec("anneal");
+    opts.explorer_options.search.anneal.max_evals = 150;
+    return design_manager(trace, opts);
+  };
+  const MethodologyResult one = design(1);
+  const MethodologyResult four = design(4);
+  ASSERT_EQ(one.phase_configs.size(), 2u);
+  ASSERT_EQ(four.phase_configs.size(), 2u);
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_TRUE(four.phase_configs[p] == one.phase_configs[p]) << p;
+    expect_identical_with_accounting(four.phase_results[p],
+                                     one.phase_results[p],
+                                     "render3d phase " + std::to_string(p));
+  }
+  EXPECT_EQ(four.total_simulations, one.total_simulations);
+  EXPECT_EQ(four.total_cache_hits, one.total_cache_hits);
 }
 
 TEST(AnnealPeakCutoff, SitsWhereTheAcceptancePredicatesTurn) {
