@@ -78,13 +78,9 @@ SpeculationNumbers measure_speculation(
       const double wall = now_seconds() - t0;
       double& best = threads == 1 ? n.wall_1t : n.wall_4t;
       best = rep == 0 ? wall : std::min(best, wall);
-      if (threads == 1) {
-        if (rep == 0) reference = r;
-        n.thread_identical = n.thread_identical && same_result(r, reference);
-      } else {
-        n.stats = anneal.speculation();
-        n.thread_identical = n.thread_identical && same_result(r, reference);
-      }
+      if (threads == 1 && rep == 0) reference = r;
+      if (threads == 4) n.stats = anneal.speculation();
+      n.thread_identical = n.thread_identical && same_result(r, reference);
     }
   }
   return n;

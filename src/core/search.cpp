@@ -1020,6 +1020,7 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
       if (speculating) ++speculation_.rounds;
     }
     const Proposal& p = root->proposal;
+    ctx.result().canonical_skips += p.canonical_skips;
     if (!p.found) {
       frozen_ = true;  // no admissible neighbour in 256 draws
       break;
@@ -1031,7 +1032,6 @@ bool AnnealingSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     }
     const EvalOutcome out = ctx.commit(root->job, root->replay);
     if (root->replay != SearchContext::kNoReplay && !out.from_cache) ++used;
-    ctx.result().canonical_skips += p.canonical_skips;
     ++charged_;
     ++stepped;
     if (speculating) ++speculation_.committed;
