@@ -270,7 +270,7 @@ DmmConfig canonical(const DmmConfig& cfg) {
                                          : FlexibleBlockSize::kNone;
   if (!can_split) c.split_when = SplitWhen::kNever;
   if (!can_coalesce) c.coalesce_when = CoalesceWhen::kNever;
-  // B3 (pool count) is consulted only when pools are divided by size
+  // B3 (pool count) is read only when pools are divided by size
   // class: the constructor pre-creates the kStaticMany roster and route()
   // grows the kDynamic one, both only under kPoolPerSizeClass.  A
   // single-pool manager creates pool 0 unconditionally and a per-exact-

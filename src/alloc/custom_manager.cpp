@@ -21,7 +21,7 @@ CustomManager::CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
     : Allocator(arena),
       cfg_(cfg),
       layout_(BlockLayout::from(cfg)),
-      link_bytes_(FreeIndex::link_bytes(hard_.block_structure())),
+      link_bytes_(FreeIndex::link_bytes(knobs_.block_structure())),
       name_(std::move(name)),
       strict_(strict_accounting) {
   if (auto why = unsupported_reason(cfg)) {
@@ -29,20 +29,20 @@ CustomManager::CustomManager(sysmem::SystemArena& arena, const DmmConfig& cfg,
                  why->c_str());
     std::abort();
   }
-  if (hard_.pool_division() == PoolDivision::kPoolPerSizeClass) {
+  if (knobs_.pool_division() == PoolDivision::kPoolPerSizeClass) {
     class_slot_.assign(SizeClass::kCount, -1);
-    if (hard_.pool_count() == PoolCount::kStaticMany) {
+    if (knobs_.pool_count() == PoolCount::kStaticMany) {
       // Pre-create the full class roster (pools only; chunks on demand).
       for (unsigned i = 0; i < SizeClass::kCount; ++i) {
         make_pool(i, class_pool_block_size(i));
       }
     }
   }
-  if (hard_.pool_division() == PoolDivision::kSinglePool) {
+  if (knobs_.pool_division() == PoolDivision::kSinglePool) {
     Pool* p = make_pool(0, 0);
-    if (hard_.static_preallocated()) {
+    if (knobs_.static_preallocated()) {
       // One up-front grant; afterwards the pool may never grow again.
-      if (p->grow_reserve(hard_.static_pool_bytes()) == nullptr) {
+      if (p->grow_reserve(knobs_.static_pool_bytes()) == nullptr) {
         die("static preallocation exceeds the arena budget");
       }
       static_exhausted_ = true;
@@ -70,7 +70,7 @@ CustomManager::~CustomManager() {
 ChunkHeader* CustomManager::pool_grow(std::size_t min_data_bytes) {
   if (static_exhausted_) return nullptr;
   std::size_t total = sizeof(ChunkHeader) + min_data_bytes;
-  const std::size_t chunk_bytes = hard_.chunk_bytes();
+  const std::size_t chunk_bytes = knobs_.chunk_bytes();
   if (total < chunk_bytes) total = chunk_bytes;
   std::size_t granted = 0;
   std::byte* base = arena_->request(total, &granted);
@@ -94,24 +94,24 @@ Pool* CustomManager::make_pool(std::size_t key,
   pools_.push_back(
       {key, std::make_unique<Pool>(cfg_, layout_, fixed_block_size, host)});
   const std::size_t slot = pools_.size() - 1;
-  if (hard_.pool_division() == PoolDivision::kPoolPerSizeClass &&
-      hard_.pool_structure() == PoolStructure::kArray) {
+  if (knobs_.pool_division() == PoolDivision::kPoolPerSizeClass &&
+      knobs_.pool_structure() == PoolStructure::kArray) {
     class_slot_[key] = static_cast<int>(slot);
-  } else if (hard_.pool_division() == PoolDivision::kPoolPerExactSize &&
-             hard_.pool_structure() == PoolStructure::kArray) {
+  } else if (knobs_.pool_division() == PoolDivision::kPoolPerExactSize &&
+             knobs_.pool_structure() == PoolStructure::kArray) {
     exact_slot_[key] = slot;
   }
   return pools_.back().pool.get();
 }
 
 Pool* CustomManager::find_pool(std::size_t key) {
-  if (hard_.pool_structure() == PoolStructure::kArray) {
-    if (hard_.pool_division() == PoolDivision::kPoolPerSizeClass) {
+  if (knobs_.pool_structure() == PoolStructure::kArray) {
+    if (knobs_.pool_division() == PoolDivision::kPoolPerSizeClass) {
       const int slot = class_slot_[key];
       return slot < 0 ? nullptr
                       : pools_[static_cast<std::size_t>(slot)].pool.get();
     }
-    if (hard_.pool_division() == PoolDivision::kPoolPerExactSize) {
+    if (knobs_.pool_division() == PoolDivision::kPoolPerExactSize) {
       auto it = exact_slot_.find(key);
       return it == exact_slot_.end() ? nullptr : pools_[it->second].pool.get();
     }
@@ -132,7 +132,7 @@ Pool* CustomManager::find_pool(std::size_t key) {
 std::size_t CustomManager::block_size_for_request(std::size_t payload) const {
   if (payload == 0) payload = 1;
   std::size_t p = align_up(payload);
-  if (hard_.block_sizes() == BlockSizes::kFixedClasses) {
+  if (knobs_.block_sizes() == BlockSizes::kFixedClasses) {
     p = SizeClass::round_to_class(p);
   }
   return layout_.block_size_for(p, link_bytes_);
@@ -147,13 +147,13 @@ std::size_t CustomManager::class_pool_block_size(unsigned idx) const {
 }
 
 CustomManager::Route CustomManager::route(std::size_t request) {
-  switch (hard_.pool_division()) {
+  switch (knobs_.pool_division()) {
     case PoolDivision::kSinglePool:
       return {find_pool(0), block_size_for_request(request)};
     case PoolDivision::kPoolPerSizeClass: {
       const unsigned idx = SizeClass::index_for(align_up(request));
       Pool* p = find_pool(idx);
-      if (p == nullptr && hard_.pool_count() == PoolCount::kDynamic) {
+      if (p == nullptr && knobs_.pool_count() == PoolCount::kDynamic) {
         p = make_pool(idx, class_pool_block_size(idx));
       }
       const std::size_t bs = (p != nullptr && p->is_fixed())
@@ -177,7 +177,7 @@ CustomManager::Route CustomManager::route(std::size_t request) {
 
 void* CustomManager::allocate(std::size_t bytes) {
   const std::size_t request = bytes == 0 ? 1 : bytes;
-  if (!hard_.static_preallocated() && request >= hard_.big_request_bytes()) {
+  if (!knobs_.static_preallocated() && request >= knobs_.big_request_bytes()) {
     return big_allocate(request);
   }
   const Route r = route(request);

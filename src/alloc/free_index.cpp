@@ -42,10 +42,8 @@ FreeIndex::FreeIndex(BlockStructure ddt, FreeListOrder pinned_order,
       fixed_size_(fixed_size) {}
 
 FreeListOrder FreeIndex::discipline() const {
-  // Reading the C2 knob consults kOrder; self-ordering DDTs then override
-  // it (the constraint engine reports such combinations as linked
-  // decisions, not errors).  Even for them the consult stands: a config
-  // differing in A1 is a hard (structure) change handled elsewhere.
+  // Self-ordering DDTs override the C2 knob (the constraint engine reports
+  // such combinations as linked decisions, not errors).
   const FreeListOrder order = knobs_ ? knobs_->order() : pinned_order_;
   if (sorted_by_size() || ddt_ == BlockStructure::kSizeBinaryTree) {
     return FreeListOrder::kSizeOrdered;
@@ -92,7 +90,7 @@ bool FreeIndex::sorted_by_size() const {
 void FreeIndex::insert(std::byte* block) {
   if (count_ == 0) {
     // First resident block: every discipline files it identically (head =
-    // tail = block, no scan), so the ordering knob is not consulted.
+    // tail = block, no scan), so the ordering knob is not read.
     if (ddt_ == BlockStructure::kSizeBinaryTree) {
       tree_insert(block);
     } else {
@@ -100,9 +98,7 @@ void FreeIndex::insert(std::byte* block) {
     }
   } else {
     // With at least one resident block the insertion position depends on
-    // the ordering policy (C2): reading it through the view consults
-    // kOrder — even for self-ordering DDTs, because a config differing in
-    // A1 is a hard (structure) change handled elsewhere.
+    // the ordering policy (C2).
     const FreeListOrder order = discipline();
     if (ddt_ == BlockStructure::kSizeBinaryTree) {
       tree_insert(block);
@@ -131,13 +127,13 @@ void FreeIndex::remove(std::byte* block) {
 }
 
 std::byte* FreeIndex::take_fit(std::size_t need) {
-  // The fit policy (C1) is read — and thereby consulted — only when the
-  // choice could matter.  On a list with exactly one block every policy
-  // scans that one node, takes it iff it fits, and updates the cursor
-  // identically — no divergence until two candidates coexist.  On a 1-node
-  // tree the policies already differ observably (worst fit descends the
-  // right spine and charges different scan_steps than the >=-need
-  // descent), so trees read the knob from one block.
+  // The fit policy (C1) is read only when the choice could matter.  On a
+  // list with exactly one block every policy scans that one node, takes it
+  // iff it fits, and updates the cursor identically — no divergence until
+  // two candidates coexist.  On a 1-node tree the policies already differ
+  // observably (worst fit descends the right spine and charges different
+  // scan_steps than the >=-need descent), so trees read the knob from one
+  // block.
   if (!knobs_) die("take_fit without a fit: pinned-policy index");
   if (count_ == 0) return nullptr;
   std::byte* b = nullptr;
@@ -344,9 +340,6 @@ std::byte* FreeIndex::list_take(std::size_t need, FitAlgorithm fit) {
     case FitAlgorithm::kExactFit: {
       // On a size-sorted list, the first block >= need IS the best fit, and
       // an exact fit (if any) is encountered first among fitting blocks.
-      // Reaching here implies count_ >= 2, so the ordering knob was already
-      // consulted by the insert that made the list non-empty — the kOrder
-      // note inside discipline() cannot move a first-consult earlier.
       const bool sorted = discipline() == FreeListOrder::kSizeOrdered;
       if (sorted) return head_ != nullptr ? scan_first(head_) : nullptr;
       std::byte* best = nullptr;

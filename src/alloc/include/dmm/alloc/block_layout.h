@@ -39,12 +39,11 @@ class BlockLayout {
 
   BlockLayout() = default;
 
-  /// Derives the layout from the A3/A4 decisions of @p cfg (hard knobs:
-  /// they shape construction, so reading them is consult-free).
+  /// Derives the layout from the A3/A4 decisions of @p cfg.
   static BlockLayout from(const DmmConfig& cfg) {
-    const HardKnobs hard(cfg);
-    const BlockTags tags = hard.block_tags();
-    const RecordedInfo info = hard.recorded_info();
+    const KnobView knobs(cfg);
+    const BlockTags tags = knobs.block_tags();
+    const RecordedInfo info = knobs.recorded_info();
     BlockLayout l;
     l.has_header_ =
         tags == BlockTags::kHeader || tags == BlockTags::kHeaderFooter;

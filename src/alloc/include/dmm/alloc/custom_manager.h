@@ -25,7 +25,7 @@ namespace dmm::alloc {
 ///
 /// In the policy-core / runtime-front split (see policy_core.h) this class
 /// is the *policy core*: deliberately single-threaded, bit-deterministic,
-/// every soft-knob read routed through the typed accessors below.  Ship it
+/// every knob read routed through the typed view below.  Ship it
 /// behind runtime::DesignedAllocator (src/runtime) when live concurrent
 /// malloc/free traffic, an OOM policy, or telemetry is needed; use it bare
 /// for replay and scoring.
@@ -120,10 +120,7 @@ class CustomManager : public Allocator, private PoolHost {
   void big_deallocate(ChunkHeader* chunk, void* ptr);
 
   DmmConfig cfg_;
-  /// Typed views over cfg_ (see knobs.h): hard_ for consult-free structure
-  /// knobs, knobs_ for soft knobs whose reads note their ConsultGroup.
-  /// All decision-path reads below go through these, never cfg_ directly.
-  HardKnobs hard_{cfg_};
+  /// Typed view over cfg_ (see knobs.h); decision-path reads go through it.
   KnobView knobs_{cfg_};
   BlockLayout layout_;
   std::size_t link_bytes_;

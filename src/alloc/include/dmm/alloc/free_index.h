@@ -24,20 +24,19 @@ namespace dmm::alloc {
 /// pool's fixed block size when blocks carry no tags — the index reads
 /// them directly through the layout, keeping the hot path call-free.
 ///
-/// The soft C1/C2 knobs are read through the KnobView accessor layer (see
-/// knobs.h), and only at genuine decision points: the ordering knob when a
-/// block joins a non-empty index, the fit knob when at least two candidate
-/// blocks coexist (one, for trees, whose policies already diverge on a
-/// single node).  This is what keeps the full-skip store's consult table
-/// sound without hand-placed hooks.
+/// The C1/C2 knobs are read through KnobView (see knobs.h), and only at
+/// genuine decision points: the ordering knob when a block joins a
+/// non-empty index, the fit knob when at least two candidate blocks
+/// coexist (one, for trees, whose policies already diverge on a single
+/// node).
 ///
 /// The index counts traversal steps (`scan_steps`) as an
 /// architecture-neutral work measure used by the performance benches.
 class FreeIndex {
  public:
   /// Config-driven mode, for pools executing a decision vector.
-  /// @param ddt         tree A1 leaf (hard knob, fixed at construction)
-  /// @param knobs       soft-knob view serving C1/C2 reads (must outlive
+  /// @param ddt         tree A1 leaf (fixed at construction)
+  /// @param knobs       knob view serving C1/C2 reads (must outlive
   ///                    the index; self-ordering DDTs override its C2)
   /// @param layout      block layout (header offset and size field)
   /// @param fixed_size  pool's fixed block size; 0 = read from headers
@@ -46,8 +45,8 @@ class FreeIndex {
 
   /// Pinned-policy mode, for fixed reference managers (Lea/Kingsley) and
   /// unit tests whose policies are compile-time constants rather than
-  /// DmmConfig soft knobs: the ordering is given here, the fit per call
-  /// through the explicit take_fit overload, and nothing consults.
+  /// DmmConfig knobs: the ordering is given here, the fit per call
+  /// through the explicit take_fit overload.
   FreeIndex(BlockStructure ddt, FreeListOrder pinned_order,
             const BlockLayout& layout, std::size_t fixed_size);
 
@@ -64,13 +63,13 @@ class FreeIndex {
   void remove(std::byte* block);
 
   /// Finds a block satisfying @p need bytes per the C1 fit knob, unthreads
-  /// and returns it; nullptr if no free block fits.  Consults kFit iff the
-  /// policy could matter (two coexisting blocks; one for trees).
+  /// and returns it; nullptr if no free block fits.  Reads the knob iff
+  /// the policy could matter (two coexisting blocks; one for trees).
   /// Config-driven mode only — aborts on a pinned-policy index.
   [[nodiscard]] std::byte* take_fit(std::size_t need);
 
   /// Explicit-policy take for pinned-policy indexes (and tests probing a
-  /// specific fit).  Reads no knob and consults nothing.
+  /// specific fit).  Reads no knob.
   [[nodiscard]] std::byte* take_fit(std::size_t need, FitAlgorithm fit);
 
   /// Unthreads and returns any block (used when draining a pool).
@@ -89,7 +88,7 @@ class FreeIndex {
 
   [[nodiscard]] BlockStructure structure() const { return ddt_; }
   /// Effective C2 discipline: the config's ordering knob, overridden to
-  /// size-ordered by self-ordering DDTs.  Reading it consults kOrder.
+  /// size-ordered by self-ordering DDTs.
   [[nodiscard]] FreeListOrder order() const { return discipline(); }
 
  private:

@@ -11,17 +11,15 @@ namespace dmm::alloc {
 // Everything the methodology designs lives in the *policy core*: pool
 // layout and routing (B trees), fit and ordering decisions (C trees),
 // split/coalesce mechanics (A5, D, E trees), all read through the typed
-// knob accessors of knobs.h so consult bookkeeping stays sound.  The core
-// is deliberately single-threaded and bit-deterministic — the properties
-// replay scoring (core/simulator.h), the incremental full skip
-// (core/checkpoint.h) and the EvalEngine candidate cache depend on.
+// knob view of knobs.h.  The core is deliberately single-threaded and
+// bit-deterministic — the properties replay scoring (core/simulator.h)
+// and the EvalEngine candidate cache depend on.
 // CustomManager IS that core; this alias names the role so call sites can
 // say which contract they rely on:
 //
-//   * design-side users (simulator, full-skip store, eval engine,
-//     methodology) build a PolicyCore per candidate and replay traces
-//     through it — they need determinism and must never see locks or
-//     caches;
+//   * design-side users (simulator, eval engine, methodology) build a
+//     PolicyCore per candidate and replay traces through it — they need
+//     determinism and must never see locks or caches;
 //   * the deployable front (runtime/designed_allocator.h) owns exactly one
 //     PolicyCore behind a lock and layers per-thread caches, OOM policy
 //     and telemetry on top — concerns the design side must never score.

@@ -108,8 +108,7 @@ class Pool {
   [[nodiscard]] bool split_allowed(std::size_t have, std::size_t need) const;
   [[nodiscard]] bool remainder_ok(std::size_t remainder) const;
 
-  HardKnobs hard_;   ///< consult-free structural knobs (see knobs.h)
-  KnobView knobs_;   ///< soft knobs — every read notes its ConsultGroup
+  KnobView knobs_;   ///< the decision vector's knobs (see knobs.h)
   BlockLayout layout_;
   std::size_t fixed_size_;
   std::size_t min_block_;

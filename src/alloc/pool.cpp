@@ -19,14 +19,13 @@ bool is_class_size(std::size_t s) { return s != 0 && (s & (s - 1)) == 0; }
 
 Pool::Pool(const DmmConfig& cfg, const BlockLayout& layout,
            std::size_t fixed_block_size, PoolHost& host)
-    : hard_(cfg),
-      knobs_(cfg),
+    : knobs_(cfg),
       layout_(layout),
       fixed_size_(fixed_block_size),
-      min_block_(
-          layout.min_block_size(FreeIndex::link_bytes(hard_.block_structure()))),
+      min_block_(layout.min_block_size(
+          FreeIndex::link_bytes(knobs_.block_structure()))),
       host_(host),
-      index_(hard_.block_structure(), knobs_, layout, fixed_block_size) {
+      index_(knobs_.block_structure(), knobs_, layout, fixed_block_size) {
   if (fixed_size_ != 0 && fixed_size_ < min_block_) {
     die("fixed block size below the minimum viable free-block size");
   }
@@ -53,7 +52,7 @@ bool Pool::remainder_ok(std::size_t remainder) const {
   if (remainder < min_block_) return false;
   if (knobs_.split_sizes() == SplitSizes::kBoundedByClass) {
     return is_class_size(remainder) &&
-           remainder <= (std::size_t{1} << hard_.max_class_log2());
+           remainder <= (std::size_t{1} << knobs_.max_class_log2());
   }
   return true;
 }
@@ -83,7 +82,7 @@ std::size_t Pool::split_block(std::byte* block, std::size_t have,
     // round the remainder down and leave the gap glued to the allocated
     // part (internal fragmentation — the cost of bounding E1).
     rem_size = std::size_t{1} << (std::bit_width(remainder) - 1);
-    const std::size_t cap = std::size_t{1} << hard_.max_class_log2();
+    const std::size_t cap = std::size_t{1} << knobs_.max_class_log2();
     if (rem_size > cap) rem_size = cap;
   }
   if (!remainder_ok(rem_size)) return have;
@@ -133,9 +132,8 @@ std::byte* Pool::allocate_block(std::size_t block_size) {
   std::byte* block = index_.take_fit(block_size);
   // Coalescing decision point (alloc side): a failed fit over a non-empty
   // variable index is where a deferred-coalescing config would defragment.
-  // The D/A5 knob reads themselves carry the consult, so they are gated to
-  // fire exactly there; with an empty index a sweep is a no-op, so the
-  // extra count guard changes no behaviour.
+  // With an empty index a sweep is a no-op, so the count guard changes no
+  // behaviour.
   if (block == nullptr && !is_fixed() && index_.count() > 0 &&
       knobs_.coalescing_granted() &&
       knobs_.coalesce_when() == CoalesceWhen::kDeferred) {
@@ -152,9 +150,7 @@ std::byte* Pool::allocate_block(std::size_t block_size) {
     const std::size_t have = block_size_of(block);
     final_size = have;
     // Splitting decision point: a reused block larger than the request is
-    // where the E-knobs (and A5) choose whether to carve a remainder —
-    // split_allowed's accessor reads note kSplit right here (its is_fixed
-    // check precedes any knob read, keeping fixed pools consult-free).
+    // where the E-knobs (and A5) choose whether to carve a remainder.
     if (have > block_size && split_allowed(have, block_size)) {
       final_size = split_block(block, have, block_size, chunk);
     }
@@ -203,7 +199,7 @@ void Pool::free_block(std::byte* block, std::size_t block_size,
 
 std::size_t Pool::try_coalesce(std::byte*& block, std::size_t size,
                                ChunkHeader* chunk) {
-  const std::size_t cap = std::size_t{1} << hard_.max_class_log2();
+  const std::size_t cap = std::size_t{1} << knobs_.max_class_log2();
   const CoalesceSizes coalesce_sizes = knobs_.coalesce_sizes();
   auto merge_allowed = [&](std::size_t merged) {
     if (coalesce_sizes == CoalesceSizes::kNotFixed) return true;
@@ -277,8 +273,7 @@ void Pool::set_prev_free_of_next(std::byte* block, std::size_t size,
 
 void Pool::release_chunk_if_empty(ChunkHeader* chunk) {
   // Shrink decision point: an empty chunk is where the B4 adaptivity knob
-  // decides between returning memory and keeping it cached — so the knob
-  // read (which notes kShrink) happens only once the chunk is empty.
+  // decides between returning memory and keeping it cached.
   if (chunk->live_blocks != 0) return;
   if (!knobs_.releases_empty_chunks()) return;
   // Drain the chunk's free blocks (all of its blocks) from the index, then
@@ -315,7 +310,7 @@ void Pool::walk_chunk(
 
 std::size_t Pool::coalesce_sweep() {
   std::size_t merges = 0;
-  const std::size_t cap = std::size_t{1} << hard_.max_class_log2();
+  const std::size_t cap = std::size_t{1} << knobs_.max_class_log2();
   const CoalesceSizes coalesce_sizes = knobs_.coalesce_sizes();
   auto merged_ok = [&](std::size_t s) {
     if (coalesce_sizes == CoalesceSizes::kNotFixed) return true;

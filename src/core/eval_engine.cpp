@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dmm/alloc/policy_core.h"
-#include "dmm/core/checkpoint.h"
 #include "dmm/sysmem/system_arena.h"
 
 namespace dmm::core {
@@ -356,9 +355,6 @@ void EvalEngine::stream_begin(const TraceSource& trace,
   streaming_ = true;
   stream_trace_ = &trace;
   stream_cache_ = cache;
-  // The fingerprint keys the full-skip store; skip the O(events) hash
-  // when no store is configured.
-  stream_trace_fp_ = checkpoints_ != nullptr ? trace.fingerprint() : 0;
   speculative_ = false;
   slots_.clear();
   pending_canon_.clear();
@@ -480,29 +476,11 @@ std::uint64_t EvalEngine::speculate_end() {
   return replayed;
 }
 
-void EvalEngine::configure_incremental(std::shared_ptr<CheckpointStore> store,
-                                       bool verify) {
-  checkpoints_ = std::move(store);
-  verify_incremental_ = verify;
-}
-
-EvalOutcome EvalEngine::compute(const EvalJob& job) const {
-  // A cutoff replay is cold: the full-skip store holds and serves whole
-  // replays only, and a stopped one is not.
-  if (checkpoints_ != nullptr && job.peak_cutoff == 0) {
-    return score_candidate_incremental(*stream_trace_, job, *checkpoints_,
-                                       stream_trace_fp_, verify_incremental_);
-  }
-  return score_candidate(*stream_trace_, job);
-}
-
 bool EvalEngine::complete(StreamSlot& slot,
                           const std::atomic<bool>* abort) const {
   if (!speculative_) {
-    slot.out = compute(slot.job);
+    slot.out = score_candidate(*stream_trace_, slot.job);
   } else if (!slot.cancelled.load(std::memory_order_relaxed)) {
-    // Cold like a cutoff job, and never through the full-skip store: a
-    // guess that is discarded must not publish a lineage.
     sysmem::SystemArena arena;
     alloc::PolicyCore core(arena, slot.job.cfg, "candidate",
                            /*strict_accounting=*/false);
@@ -567,7 +545,7 @@ void ThreadPoolEngine::dispatch(StreamSlot& slot) {
   // Stripe submissions round-robin across the worker deques; stealing
   // rebalances whatever the stripe got wrong.  The pop's queue mutex is
   // the happens-before edge from the session state written by the
-  // coordinating thread to the worker's compute().
+  // coordinating thread to the worker's replay.
   WorkerQueue& wq = *queues_[rr_next_];
   rr_next_ = (rr_next_ + 1) % queues_.size();
   {

@@ -1,6 +1,5 @@
 #include "dmm/core/explorer.h"
 
-#include "dmm/core/checkpoint.h"
 #include "dmm/core/search.h"
 
 namespace dmm::core {
@@ -25,15 +24,6 @@ Explorer::Explorer(std::shared_ptr<const TraceSource> trace,
       opts_.shared_cache = std::make_shared<SharedScoreCache>();
     }
     (void)opts_.shared_cache->load(opts_.cache_file);
-  }
-  // Incremental replay: a missing store means a private one — injected
-  // stores share baselines between explorers searching the same trace.
-  if (opts_.incremental) {
-    if (opts_.checkpoints == nullptr) {
-      opts_.checkpoints = std::make_shared<CheckpointStore>();
-    }
-    engine_->configure_incremental(opts_.checkpoints,
-                                   opts_.verify_incremental);
   }
 }
 
@@ -91,9 +81,6 @@ SimResult Explorer::score(const DmmConfig& cfg,
   // and score() must stay safe to call from any thread (the shared
   // cache and score_candidate both are).
   SerialEngine engine;
-  if (opts_.incremental && opts_.checkpoints != nullptr) {
-    engine.configure_incremental(opts_.checkpoints, opts_.verify_incremental);
-  }
   SearchContext ctx(*trace_, trace_fingerprint_, opts_, engine);
   const std::vector<EvalOutcome> out = ctx.evaluate({{cfg, 0}});
   if (work_steps != nullptr) *work_steps = out[0].work_steps;

@@ -28,8 +28,7 @@ namespace dmm::core {
 /// The replay then stops once its running peak passes the cutoff and the
 /// outcome comes back with `sim.stopped` set and a lower-bound peak; a
 /// cache may answer such a job with a lower-bound entry already above the
-/// cutoff.  A cutoff job always replays cold, never from the full-skip
-/// store.
+/// cutoff.
 struct EvalJob {
   alloc::DmmConfig cfg{};
   std::uint64_t tag = 0;
@@ -41,18 +40,15 @@ struct EvalJob {
 ///
 /// `replayed_events` counts the trace events this outcome actually replayed
 /// (full event count for a cold replay, the events up to the stop for a
-/// replay past its peak cutoff, 0 for cache hits and full skips);
-/// `full_skip` marks outcomes served a stored final result by the
-/// incremental-replay store (core/checkpoint.h).  Neither affects the
-/// score: `sim`/`work_steps` are bit-identical to a cold replay (stopped
-/// at the same cutoff, for a cutoff job).
+/// replay past its peak cutoff, 0 for cache hits).  It does not affect
+/// the score: `sim`/`work_steps` are bit-identical to a cold replay
+/// (stopped at the same cutoff, for a cutoff job).
 struct EvalOutcome {
   std::uint64_t tag = 0;
   SimResult sim{};
   std::uint64_t work_steps = 0;
   bool from_cache = false;
   std::uint64_t replayed_events = 0;
-  bool full_skip = false;
 };
 
 /// The caching seam every engine consults during evaluate(): a memoized
@@ -396,8 +392,6 @@ struct FamilyEvalMember {
     std::uint64_t tag, const std::vector<EvalOutcome>& member_outcomes,
     const std::vector<FamilyEvalMember>& members, FamilyAggregate aggregate);
 
-class CheckpointStore;  // core/checkpoint.h
-
 /// The seam every evaluation backend plugs into.  The primitive is a
 /// *streaming session*: the search opens one per candidate wave
 /// (stream_begin), submits jobs as it generates them (stream_submit), and
@@ -450,10 +444,9 @@ class EvalEngine {
 
   /// Speculative session (AnnealingSearch's pre-fetch): jobs submitted
   /// between speculate_begin() and speculate_end() replay cold on the
-  /// runners — no cache, no in-session dedup, no full-skip store, so
-  /// nothing is consulted or published — and the caller collects each one
-  /// by id, in any order, or withdraws it.  Occupies the engine's one
-  /// streaming session.
+  /// runners — no cache and no in-session dedup, so nothing is looked up
+  /// or published — and the caller collects each one by id, in any order,
+  /// or withdraws it.  Occupies the engine's one streaming session.
   void speculate_begin(const TraceSource& trace);
   /// Submits @p job (pooled engines start it at once); returns its id.
   [[nodiscard]] std::size_t speculate_submit(const EvalJob& job);
@@ -464,19 +457,6 @@ class EvalEngine {
   /// Waits for the jobs already started and closes the session; returns
   /// how many jobs actually replayed.
   std::uint64_t speculate_end();
-
-  /// Routes this engine's replays through the incremental full-skip store
-  /// (nullptr restores cold replays).  With @p verify every full skip also
-  /// replays cold and the results are compared bit-for-bit (the cold
-  /// result wins; mismatches are counted on the store).  Takes effect at
-  /// the next stream_begin/evaluate.
-  void configure_incremental(std::shared_ptr<CheckpointStore> store,
-                             bool verify = false);
-
-  [[nodiscard]] const std::shared_ptr<CheckpointStore>& checkpoint_store()
-      const {
-    return checkpoints_;
-  }
 
  protected:
   /// One submitted job's lifecycle inside a session.  Slots live in
@@ -504,9 +484,6 @@ class EvalEngine {
   /// engine drops a queued job it is running then (see complete()).
   virtual void wait_alone(StreamSlot& slot);
 
-  /// Scores one job against the session trace, honoring the incremental
-  /// configuration.  Safe from any thread during a session.
-  [[nodiscard]] EvalOutcome compute(const EvalJob& job) const;
   /// Computes slot.out and marks the slot done.  A speculative session's
   /// slot replays cold and stops early once cancelled; once @p abort is
   /// set it stops too, but then returns false with the slot not done, to
@@ -526,12 +503,8 @@ class EvalEngine {
   std::size_t emitted_ = 0;
   const TraceSource* stream_trace_ = nullptr;
   CandidateCache* stream_cache_ = nullptr;
-  std::uint64_t stream_trace_fp_ = 0;
   bool streaming_ = false;
   bool speculative_ = false;  ///< speculate_begin() opened the session
-
-  std::shared_ptr<CheckpointStore> checkpoints_;
-  bool verify_incremental_ = false;
 };
 
 /// In-thread reference engine: dispatch computes inline (the base default),

@@ -39,6 +39,8 @@ void apply_phases(AllocTrace& trace, const std::vector<PhaseSpan>& spans);
 /// Splits a trace into per-phase sub-traces *by allocation phase*: an
 /// object belongs to the phase it was allocated in, and its free event
 /// follows it (the atomic manager that allocated a block must free it).
+/// Each sub-trace renumbers its ids densely, by rank among that phase's
+/// distinct ids; the order-preserving map leaves every replay unchanged.
 [[nodiscard]] std::vector<AllocTrace> split_by_phase(const AllocTrace& trace);
 
 }  // namespace dmm::core

@@ -124,31 +124,6 @@ struct ExplorerOptions {
   /// this run, so the cartesian product collapses to behaviourally
   /// distinct managers and max_evals buys real coverage.
   bool canonical_prune = true;
-  /// random_search(): also skip draws whose canonical form was already
-  /// evaluated this search (reported as canonical_skips, charged
-  /// nothing).  Off by default on purpose: skipping duplicates makes the
-  /// sampler draw *without* replacement over the canonical quotient,
-  /// which is a different distribution from the uniform-with-replacement
-  /// draw the ablation benches compare against the greedy walk — turn it
-  /// on for coverage, leave it off for an apples-to-apples budget
-  /// comparison.
-  bool canonical_prune_random = false;
-  /// Incremental replay: record which knob groups each cold (baseline)
-  /// replay consulted and keep its final result; a candidate that differs
-  /// from a baseline only in knob groups that baseline never consulted
-  /// (core/checkpoint.h) is served that result without any replay (a full
-  /// skip).  Scores and search outcomes are bit-identical with this on or
-  /// off; only the replayed-event counters shift.
-  bool incremental = false;
-  /// Cross-check every full skip against a cold replay (all deterministic
-  /// SimResult fields plus work_steps, bit for bit) and count mismatches
-  /// on the store.  Debug/CI knob: it forfeits the speedup, so leave it
-  /// off in production runs.
-  bool verify_incremental = false;
-  /// The full-skip store to use when `incremental` is set.  Share one
-  /// across explorers to reuse baselines between searches; when null the
-  /// Explorer creates a private store.
-  std::shared_ptr<CheckpointStore> checkpoints;
   /// The strategy Explorer::run() (no arguments) executes; the CLIs'
   /// `--search` flag and MethodologyOptions land here.  The explicit
   /// explore()/exhaustive()/random_search() calls ignore it.
@@ -211,10 +186,9 @@ struct ExplorationResult {
   /// per-member units.  Always 0 in single-trace mode.
   std::uint64_t family_hits = 0;
   /// Vectors skipped as canonical duplicates of an already-seen one:
-  /// exhaustive() under canonical_prune, random_search() under
-  /// canonical_prune_random, and annealing proposals that mutated a dead
-  /// leaf (a no-op in the canonical quotient).  Skips are never charged
-  /// to the evaluation budget.
+  /// exhaustive() under canonical_prune, and annealing proposals that
+  /// mutated a dead leaf (a no-op in the canonical quotient).  Skips are
+  /// never charged to the evaluation budget.
   std::uint64_t canonical_skips = 0;
   /// Evaluations (replays + cache hits) charged up to and including the
   /// batch in which the winning vector was recorded — the benches'
@@ -223,16 +197,10 @@ struct ExplorationResult {
   std::uint64_t evals_to_best = 0;
   /// Trace events actually replayed across all simulations: the full
   /// event count for a cold replay, the prefix up to the stop for an
-  /// annealing replay past its peak cutoff, zero for cache hits and full
-  /// skips.  Without those savings this is simulations x trace length;
-  /// the gap is the replay work saved.  Timing-dependent across worker
-  /// threads (which candidate replays cold first can differ), unlike
-  /// every score above.
+  /// annealing replay past its peak cutoff, zero for cache hits.  Without
+  /// the cutoffs this is simulations x trace length; the gap is the replay
+  /// work they saved.  It never affects a score.
   std::uint64_t replayed_events = 0;
-  /// Evaluations served a stored final result with no replay at all
-  /// (subset of simulations; 0 with incremental off): the consult table
-  /// proved no differing knob group is ever consulted.
-  std::uint64_t full_skips = 0;
   /// Per-child attribution of a PortfolioSearch run, in child order
   /// (empty for every other strategy).  `steps` holds the winning child's
   /// ordered-walk log when that child is an ordered strategy.
@@ -357,8 +325,8 @@ class SearchContext {
   /// Speculation (AnnealingSearch's pre-fetch), single-trace mode only.
   /// Between speculate_begin() and speculate_end(), speculate() hands a
   /// job to the engine to replay on a free runner without inserting into
-  /// the score cache, consulting or publishing to the full-skip store, or
-  /// changing any counter; nothing is charged until commit().  Do not call
+  /// the score cache or changing any counter; nothing is charged until
+  /// commit().  Do not call
   /// evaluate() or submit() while speculating.
   static constexpr std::size_t kNoReplay =
       std::numeric_limits<std::size_t>::max();
@@ -427,7 +395,7 @@ class SearchContext {
       const std::vector<EvalJob>& jobs);
 
   /// Per-outcome accounting shared by evaluate()/poll()/drain(): the
-  /// simulations vs cache_hits split plus the incremental-replay counters.
+  /// simulations vs cache_hits split plus the replayed-event count.
   void account(const EvalOutcome& out);
 
   const TraceSource* trace_ = nullptr;  ///< single-trace mode; else family_
@@ -471,7 +439,7 @@ class SearchStrategy {
   /// front.  No-op for strategies without resumable state.
   virtual void reset() {}
 
-  /// Incremental execution for drivers that interleave strategies: charge
+  /// Sliced execution for drivers that interleave strategies: charge
   /// at most @p eval_budget more evaluations against @p ctx (and never
   /// more than the strategy's own remaining budget), then return true iff
   /// the search can still make progress.  The streaming strategies
@@ -537,9 +505,8 @@ class ExhaustiveSearch final : public SearchStrategy {
   std::uint64_t charged_ = 0;
 };
 
-/// Uniform random sampling of full decision vectors (invalid draws are
-/// rejected without charge; canonical duplicates too under
-/// ExplorerOptions::canonical_prune_random).  Explorer::random_search().
+/// Uniform random sampling of full decision vectors, with replacement
+/// (invalid draws are rejected without charge).  Explorer::random_search().
 class RandomSearch final : public SearchStrategy {
  public:
   RandomSearch(std::size_t samples, unsigned seed);

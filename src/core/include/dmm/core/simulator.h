@@ -9,10 +9,6 @@
 #include "dmm/alloc/allocator.h"
 #include "dmm/core/trace.h"
 
-namespace dmm::alloc {
-struct ConsultSink;
-}
-
 namespace dmm::core {
 
 /// Result of replaying a trace through a manager — the cost function of
@@ -54,10 +50,6 @@ struct SimReplayOptions {
   /// the final state.  A stride of 0 means "final point only".
   std::vector<TimelinePoint>* timeline = nullptr;
   std::uint64_t timeline_stride = 256;
-
-  /// Installed as the thread's consult sink for the replay (records which
-  /// knob groups the replay consulted; see alloc/consult.h).
-  alloc::ConsultSink* consult = nullptr;
 
   /// Stop the replay at the first event whose footprint exceeds this many
   /// bytes (SimResult::stopped); 0 replays the whole trace.  The footprint

@@ -89,22 +89,48 @@ void apply_phases(AllocTrace& trace, const std::vector<PhaseSpan>& spans) {
 }
 
 std::vector<AllocTrace> split_by_phase(const AllocTrace& trace) {
-  std::unordered_map<std::uint32_t, std::uint16_t> owner;  // id -> phase
+  const auto& events = trace.events();
   std::uint16_t max_phase = 0;
-  for (const AllocEvent& e : trace.events()) {
-    max_phase = std::max(max_phase, e.phase);
-  }
-  std::vector<AllocTrace> out(static_cast<std::size_t>(max_phase) + 1);
-  for (const AllocEvent& e : trace.events()) {
+  for (const AllocEvent& e : events) max_phase = std::max(max_phase, e.phase);
+  const std::size_t phases = static_cast<std::size_t>(max_phase) + 1;
+
+  // Route every event to its object's allocation phase (a free of an id
+  // with no live allocation is dropped: -1) and collect each phase's ids.
+  std::unordered_map<std::uint32_t, std::uint16_t> owner;  // id -> phase
+  std::vector<int> route(events.size(), -1);
+  std::vector<std::vector<std::uint32_t>> ids(phases);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const AllocEvent& e = events[i];
     if (e.op == AllocEvent::Op::kAlloc) {
       owner[e.id] = e.phase;
-      out[e.phase].record_alloc(e.id, e.size, e.phase);
+      route[i] = e.phase;
+      ids[e.phase].push_back(e.id);
+    } else if (auto it = owner.find(e.id); it != owner.end()) {
+      route[i] = it->second;
+      owner.erase(it);
+    }
+  }
+  // Renumber each phase's ids densely by their rank among its distinct
+  // ids.  The map is monotone, so id reuse and the simulator's id-ordered
+  // teardown are unchanged, and the replay takes the flat live map.
+  for (std::vector<std::uint32_t>& v : ids) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  }
+  const auto dense = [&](std::size_t phase, std::uint32_t id) {
+    const std::vector<std::uint32_t>& v = ids[phase];
+    return static_cast<std::uint32_t>(
+        std::lower_bound(v.begin(), v.end(), id) - v.begin());
+  };
+  std::vector<AllocTrace> out(phases);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const AllocEvent& e = events[i];
+    if (route[i] < 0) continue;
+    const auto p = static_cast<std::size_t>(route[i]);
+    if (e.op == AllocEvent::Op::kAlloc) {
+      out[p].record_alloc(dense(p, e.id), e.size, e.phase);
     } else {
-      auto it = owner.find(e.id);
-      if (it != owner.end()) {
-        out[it->second].record_free(e.id, e.phase);
-        owner.erase(it);
-      }
+      out[p].record_free(dense(p, e.id), e.phase);
     }
   }
   return out;

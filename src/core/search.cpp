@@ -149,7 +149,6 @@ void SearchContext::account(const EvalOutcome& out) {
     ++result_.simulations;
   }
   result_.replayed_events += out.replayed_events;
-  if (out.full_skip) ++result_.full_skips;
 }
 
 std::vector<EvalOutcome> SearchContext::evaluate(
@@ -643,9 +642,8 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
     charged_ = 0;
   }
   // Budget = number of *evaluations* (replays + cache hits), matching the
-  // ordered traversal's accounting; invalid draws — and canonical
-  // duplicates under canonical_prune_random — are rejected without charge
-  // (bounded).
+  // ordered traversal's accounting; invalid draws are rejected without
+  // charge (bounded).
   const std::size_t max_attempts = samples_ * 500 + 1000;
   const std::uint64_t budget =
       std::min<std::uint64_t>(eval_budget, samples_ - charged_);
@@ -661,9 +659,6 @@ bool RandomSearch::step(SearchContext& ctx, std::size_t eval_budget) {
         set_leaf(cfg, t, uniform_leaf(rng_, leaf_count(t)));
       }
       if (!passes_rules(opts, cfg)) continue;
-      if (opts.canonical_prune_random && ctx.canonical_duplicate(cfg)) {
-        continue;
-      }
       jobs.push_back({cfg, jobs.size()});
       cfgs.push_back(cfg);
     }

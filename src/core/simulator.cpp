@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "dmm/alloc/consult.h"
-
 namespace dmm::core {
 
 namespace {
@@ -114,9 +112,6 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
   std::size_t live_bytes = 0;
   std::uint16_t current_phase = 0;
 
-  alloc::ConsultSink* const prev_sink = alloc::consult_sink_slot();
-  if (opts.consult != nullptr) alloc::set_consult_sink(opts.consult);
-
   // The replay walks the source through a block cursor: in-memory traces
   // hand back their whole vector as one run, mapped traces one decoded
   // block at a time — so peak replay memory stays O(block), independent
@@ -188,7 +183,6 @@ SimResult simulate(const TraceSource& trace, alloc::Allocator& manager,
   if (!live.empty()) {
     for (void* ptr : live.sorted()) manager.deallocate(ptr);
   }
-  alloc::set_consult_sink(prev_sink);
   return r;
 }
 

@@ -243,7 +243,7 @@ DesignedAllocator::DesignedAllocator(const alloc::DmmConfig& cfg,
       arena_(opts_.arena_capacity_bytes),
       core_(arena_, cfg, "designed-runtime", /*strict_accounting=*/false),
       cache_block_limit_(std::min(
-          {alloc::HardKnobs(core_.config()).big_request_bytes(),
+          {alloc::KnobView(core_.config()).big_request_bytes(),
            opts_.thread_cache_bytes,
            alloc::SizeClass::size_of(alloc::SizeClass::kCount - 1)})) {}
 

@@ -20,9 +20,9 @@ namespace dmm::runtime {
 //
 // The methodology's product (alloc::CustomManager — see alloc/policy_core.h
 // for the split) is a deterministic, single-threaded policy core: exactly
-// what replay scoring and the incremental full skip need, and exactly NOT
-// what live traffic needs.  DesignedAllocator wraps one core instance with the three
-// things deployment adds and design must never see:
+// what replay scoring needs, and exactly NOT what live traffic needs.
+// DesignedAllocator wraps one core instance with the three things
+// deployment adds and design must never see:
 //
 //   * concurrency  — the core runs under one short spin lock; per-thread
 //     caches of freed blocks absorb the fast path so the designed pool

@@ -1,7 +1,7 @@
 // The streaming-session contract: submit/poll/drain must be bit-identical
 // to one batch evaluate() call — same outcomes, same order, same
 // from_cache split — on every engine, at every thread count, with or
-// without a cache, and with the incremental full-skip path enabled.
+// without a cache.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "dmm/core/checkpoint.h"
 #include "dmm/core/eval_engine.h"
 #include "dmm/workloads/workload.h"
 
@@ -185,33 +184,6 @@ TEST(AsyncEngine, CacheHitsAndInSessionDuplicatesAreServedWithoutReplay) {
   EXPECT_EQ(out[1].sim.peak_footprint, out[2].sim.peak_footprint);
   EXPECT_EQ(out[1].work_steps, out[2].work_steps);
   EXPECT_EQ(cache.size(), warm + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming + incremental full skips compose
-// ---------------------------------------------------------------------------
-
-TEST(AsyncEngine, StreamingWithIncrementalCheckpointsIsBitIdentical) {
-  const AllocTrace trace = workload_trace("drr", 2000);
-  const std::vector<EvalJob> jobs = mixed_jobs();
-
-  SerialEngine reference;
-  ScoreCache ref_cache;
-  const std::vector<EvalOutcome> cold =
-      reference.evaluate(trace, jobs, &ref_cache);
-
-  for (const unsigned threads : {1u, 4u}) {
-    const std::unique_ptr<EvalEngine> engine = make_engine(threads);
-    auto store = std::make_shared<CheckpointStore>();
-    engine->configure_incremental(store, /*verify=*/true);
-    ScoreCache cache;
-    engine->stream_begin(trace, &cache);
-    for (const EvalJob& job : jobs) engine->stream_submit(job);
-    const std::vector<EvalOutcome> inc = engine->stream_drain();
-    expect_same_outcomes(cold, inc, "incremental @" + std::to_string(threads));
-    EXPECT_EQ(store->stats().verify_failures, 0u);
-    EXPECT_GT(store->stats().cold_replays, 0u);
-  }
 }
 
 }  // namespace

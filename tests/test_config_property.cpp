@@ -1,20 +1,14 @@
 // Property tests over randomized valid decision vectors:
 //   * canonical() is idempotent,
 //   * canonical-equal vectors hash equal (the cache-key contract),
-//   * the typed accessor layer (KnobView / HardKnobs) returns exactly what
-//     the raw fields hold, and every KnobView accessor notes exactly its
-//     statically-assigned ConsultGroup.
-//
-// Tests are whitelisted for raw DmmConfig field reads (see tools/dmm_lint):
-// the accessor-equivalence checks below are *the* place those raw reads
-// belong.
+//   * the typed knob view (KnobView) returns exactly what the raw fields
+//     hold.
 
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "dmm/alloc/config.h"
-#include "dmm/alloc/consult.h"
 #include "dmm/alloc/knobs.h"
 #include "dmm/core/constraints.h"
 #include "dmm/core/design_space.h"
@@ -127,106 +121,44 @@ TEST(CanonicalProperty, DeadKnobsCollapse) {
   EXPECT_GE(exercised, 300) << "random sampling starved the dead-knob cases";
 }
 
-// The accessor layer must be a pure view: every accessor returns exactly
+// The knob view must be a pure view: every accessor returns exactly
 // the raw field (or the documented derived predicate) for any valid vector.
 TEST(AccessorProperty, ViewsAgreeWithRawFields) {
   std::mt19937 rng(181);
   for (int i = 0; i < 2000; ++i) {
     const DmmConfig v = random_valid_config(rng);
-    const alloc::HardKnobs hard(v);
-    const alloc::KnobView soft(v);
+    const alloc::KnobView knobs(v);
 
-    EXPECT_EQ(hard.block_structure(), v.block_structure);
-    EXPECT_EQ(hard.block_sizes(), v.block_sizes);
-    EXPECT_EQ(hard.block_tags(), v.block_tags);
-    EXPECT_EQ(hard.recorded_info(), v.recorded_info);
-    EXPECT_EQ(hard.pool_division(), v.pool_division);
-    EXPECT_EQ(hard.pool_structure(), v.pool_structure);
-    EXPECT_EQ(hard.pool_count(), v.pool_count);
-    EXPECT_EQ(hard.static_preallocated(),
+    EXPECT_EQ(knobs.block_structure(), v.block_structure);
+    EXPECT_EQ(knobs.block_sizes(), v.block_sizes);
+    EXPECT_EQ(knobs.block_tags(), v.block_tags);
+    EXPECT_EQ(knobs.recorded_info(), v.recorded_info);
+    EXPECT_EQ(knobs.pool_division(), v.pool_division);
+    EXPECT_EQ(knobs.pool_structure(), v.pool_structure);
+    EXPECT_EQ(knobs.pool_count(), v.pool_count);
+    EXPECT_EQ(knobs.static_preallocated(),
               v.adaptivity == alloc::PoolAdaptivity::kStaticPreallocated);
-    EXPECT_EQ(hard.chunk_bytes(), v.chunk_bytes);
-    EXPECT_EQ(hard.static_pool_bytes(), v.static_pool_bytes);
-    EXPECT_EQ(hard.max_class_log2(), v.max_class_log2);
-    EXPECT_EQ(hard.big_request_bytes(), v.big_request_bytes);
+    EXPECT_EQ(knobs.chunk_bytes(), v.chunk_bytes);
+    EXPECT_EQ(knobs.static_pool_bytes(), v.static_pool_bytes);
+    EXPECT_EQ(knobs.max_class_log2(), v.max_class_log2);
+    EXPECT_EQ(knobs.big_request_bytes(), v.big_request_bytes);
 
-    EXPECT_EQ(soft.fit(), v.fit);
-    EXPECT_EQ(soft.order(), v.order);
-    EXPECT_EQ(soft.splitting_granted(),
+    EXPECT_EQ(knobs.fit(), v.fit);
+    EXPECT_EQ(knobs.order(), v.order);
+    EXPECT_EQ(knobs.splitting_granted(),
               v.flexible == alloc::FlexibleBlockSize::kSplitOnly ||
                   v.flexible == alloc::FlexibleBlockSize::kSplitAndCoalesce);
-    EXPECT_EQ(soft.split_when(), v.split_when);
-    EXPECT_EQ(soft.split_sizes(), v.split_sizes);
-    EXPECT_EQ(soft.deferred_split_min(), v.deferred_split_min);
-    EXPECT_EQ(soft.coalescing_granted(),
+    EXPECT_EQ(knobs.split_when(), v.split_when);
+    EXPECT_EQ(knobs.split_sizes(), v.split_sizes);
+    EXPECT_EQ(knobs.deferred_split_min(), v.deferred_split_min);
+    EXPECT_EQ(knobs.coalescing_granted(),
               v.flexible == alloc::FlexibleBlockSize::kCoalesceOnly ||
                   v.flexible == alloc::FlexibleBlockSize::kSplitAndCoalesce);
-    EXPECT_EQ(soft.coalesce_when(), v.coalesce_when);
-    EXPECT_EQ(soft.coalesce_sizes(), v.coalesce_sizes);
-    EXPECT_EQ(soft.releases_empty_chunks(),
+    EXPECT_EQ(knobs.coalesce_when(), v.coalesce_when);
+    EXPECT_EQ(knobs.coalesce_sizes(), v.coalesce_sizes);
+    EXPECT_EQ(knobs.releases_empty_chunks(),
               v.adaptivity == alloc::PoolAdaptivity::kGrowAndShrink);
   }
-}
-
-/// Runs @p read with a fresh instrumented sink and returns the set of
-/// groups it noted (as a bitmask over ConsultGroup indices).
-template <typename Fn>
-unsigned noted_groups(Fn&& read) {
-  alloc::ConsultSink sink;
-  alloc::ConsultSink* const prev = alloc::consult_sink_slot();
-  alloc::set_consult_sink(&sink);
-  read();
-  alloc::set_consult_sink(prev);
-  return sink.consulted;
-}
-
-constexpr unsigned bit(alloc::ConsultGroup g) {
-  return 1u << static_cast<int>(g);
-}
-
-// Every KnobView accessor notes exactly its documented group; HardKnobs
-// accessors note nothing.
-TEST(AccessorProperty, ConsultGroupsMatchTheContract) {
-  const DmmConfig v = alloc::drr_paper_config();
-  const alloc::KnobView soft(v);
-  const alloc::HardKnobs hard(v);
-  using alloc::ConsultGroup;
-
-  EXPECT_EQ(noted_groups([&] { (void)soft.fit(); }), bit(ConsultGroup::kFit));
-  EXPECT_EQ(noted_groups([&] { (void)soft.order(); }), bit(ConsultGroup::kOrder));
-  EXPECT_EQ(noted_groups([&] { (void)soft.splitting_granted(); }),
-            bit(ConsultGroup::kSplit));
-  EXPECT_EQ(noted_groups([&] { (void)soft.split_when(); }),
-            bit(ConsultGroup::kSplit));
-  EXPECT_EQ(noted_groups([&] { (void)soft.split_sizes(); }),
-            bit(ConsultGroup::kSplit));
-  EXPECT_EQ(noted_groups([&] { (void)soft.deferred_split_min(); }),
-            bit(ConsultGroup::kSplit));
-  EXPECT_EQ(noted_groups([&] { (void)soft.coalescing_granted(); }),
-            bit(ConsultGroup::kCoalesce));
-  EXPECT_EQ(noted_groups([&] { (void)soft.coalesce_when(); }),
-            bit(ConsultGroup::kCoalesce));
-  EXPECT_EQ(noted_groups([&] { (void)soft.coalesce_sizes(); }),
-            bit(ConsultGroup::kCoalesce));
-  EXPECT_EQ(noted_groups([&] { (void)soft.releases_empty_chunks(); }),
-            bit(ConsultGroup::kShrink));
-
-  EXPECT_EQ(noted_groups([&] {
-              (void)hard.block_structure();
-              (void)hard.block_sizes();
-              (void)hard.block_tags();
-              (void)hard.recorded_info();
-              (void)hard.pool_division();
-              (void)hard.pool_structure();
-              (void)hard.pool_count();
-              (void)hard.static_preallocated();
-              (void)hard.chunk_bytes();
-              (void)hard.static_pool_bytes();
-              (void)hard.max_class_log2();
-              (void)hard.big_request_bytes();
-            }),
-            0u)
-      << "HardKnobs reads must be consult-free";
 }
 
 // Repair must emit vectors the constraint engine itself accepts: the

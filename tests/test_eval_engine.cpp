@@ -325,6 +325,42 @@ TEST(EvalEngine, StreamPollProgressesWithoutADrainAtTwoThreads) {
   expect_same_outcomes(serial.evaluate(trace, jobs), polled, "polled");
 }
 
+TEST(EvalEngine, CutoffJobsReplayColdAndLandAsLowerBounds) {
+  // A job with a peak cutoff stops where its peak passes it and is not
+  // served from the cache; a same-vector exact job in the same batch is
+  // not folded into it, and its exact score then answers the next cutoff
+  // job from the cache.
+  const AllocTrace trace = workload_trace("drr", 3000);
+  const DmmConfig cfg = alloc::drr_paper_config();
+  SerialEngine engine;
+  const EvalOutcome whole = engine.evaluate(trace, {{cfg, 0}})[0];
+  const std::size_t cutoff = whole.sim.peak_footprint / 2;
+  const auto expect_whole = [&](const EvalOutcome& out, const char* what) {
+    EXPECT_FALSE(out.sim.stopped) << what;
+    EXPECT_EQ(out.sim.peak_footprint, whole.sim.peak_footprint) << what;
+    EXPECT_EQ(out.sim.final_footprint, whole.sim.final_footprint) << what;
+    EXPECT_EQ(out.sim.avg_footprint, whole.sim.avg_footprint) << what;
+    EXPECT_EQ(out.sim.events, whole.sim.events) << what;
+    EXPECT_EQ(out.work_steps, whole.work_steps) << what;
+  };
+
+  ScoreCache cache;
+  const std::vector<EvalOutcome> batch =
+      engine.evaluate(trace, {{cfg, 0, cutoff}, {cfg, 1, 0}}, &cache);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_TRUE(batch[0].sim.stopped);
+  EXPECT_FALSE(batch[0].from_cache);
+  EXPECT_GT(batch[0].sim.peak_footprint, cutoff);
+  EXPECT_LT(batch[0].replayed_events, trace.size());
+  EXPECT_FALSE(batch[1].from_cache) << "another cutoff is another answer";
+  expect_whole(batch[1], "exact job beside a cutoff job");
+
+  const EvalOutcome hit = engine.evaluate(trace, {{cfg, 2, cutoff}}, &cache)[0];
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(hit.replayed_events, 0u);
+  expect_whole(hit, "cutoff job served the exact score");
+}
+
 class EngineDeterminism : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EngineDeterminism, ExploreIsBitIdenticalAcrossThreadCounts) {

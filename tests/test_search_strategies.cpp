@@ -619,36 +619,6 @@ TEST_F(SearchStrategies, AnnealingFindsCompetitiveDesign) {
 }
 
 // ---------------------------------------------------------------------------
-// random_search canonical prune (opt-in)
-// ---------------------------------------------------------------------------
-
-TEST(CanonicalPruneRandom, SkipsDuplicateDrawsWithoutCharge) {
-  // Operational-only pruning leaves canonical aliases in the draw stream
-  // (granted-but-never mechanisms, dead D1/E1/C2 leaves); the canonical
-  // quotient is big, so collisions only show up at a few hundred draws —
-  // a short trace keeps that affordable.
-  const AllocTrace trace = variable_size_trace(400);
-  ExplorerOptions base;
-  base.prune_soft = false;
-  Explorer plain(trace, base);
-  const ExplorationResult off = plain.random_search(600, 21);
-  EXPECT_GT(off.cache_hits, 0u)
-      << "without the prune, duplicate draws are charged as cache hits";
-  EXPECT_EQ(off.canonical_skips, 0u);
-
-  ExplorerOptions pruned = base;
-  pruned.canonical_prune_random = true;
-  Explorer ex(trace, pruned);
-  const ExplorationResult on = ex.random_search(600, 21);
-  EXPECT_GT(on.canonical_skips, 0u) << "duplicate draws must be skipped";
-  EXPECT_EQ(on.cache_hits, 0u)
-      << "every charged evaluation is a fresh canonical vector";
-  EXPECT_EQ(on.simulations, 600u)
-      << "skips are free: the budget still buys distinct vectors";
-  EXPECT_TRUE(on.feasible);
-}
-
-// ---------------------------------------------------------------------------
 // B2/B3 single-pool alias audit (ROADMAP open item)
 // ---------------------------------------------------------------------------
 

@@ -4,20 +4,6 @@
 The repo's correctness rests on invariants no general-purpose tool knows
 about; this linter makes them machine-checked:
 
-  raw-knob-read   DmmConfig decision-knob fields may only be *read* through
-                  the typed accessor layer (src/alloc/include/dmm/alloc/
-                  knobs.h): KnobView accessors note their ConsultGroup, so a
-                  raw field read on an allocator decision path would bypass
-                  the consult bookkeeping that the incremental replay's
-                  full skip (src/core/checkpoint.cpp) depends on.  Writes (building a
-                  config) are always fine; a short whitelist covers the
-                  canonical/hash/validation/full-skip/serialization code
-                  that must compare or dump fields wholesale.  The rule
-                  binds in the deployable runtime front (src/runtime/) with
-                  the same strictness as in src/alloc/: the front wraps the
-                  policy core, so a raw knob consult there would bypass the
-                  same bookkeeping.
-
   nondet          No wall-clock or global-RNG nondeterminism sources in
                   result-affecting code: rand/srand, std::random_device,
                   C time()/clock().  Searches use seeded engines; timing
@@ -59,40 +45,7 @@ import os
 import re
 import sys
 
-RULES = ("raw-knob-read", "nondet", "unordered-iter", "ptr-order",
-         "raw-parse")
-
-# DmmConfig decision-knob fields (src/alloc/include/dmm/alloc/config.h).
-KNOB_FIELDS = (
-    "block_structure", "block_sizes", "block_tags", "recorded_info",
-    "flexible", "pool_division", "pool_structure", "pool_count",
-    "adaptivity", "coalesce_sizes", "coalesce_when", "split_sizes",
-    "split_when", "chunk_bytes", "big_request_bytes", "static_pool_bytes",
-    "deferred_split_min", "max_class_log2",
-)
-# `fit` and `order` collide with unrelated identifiers (exploration order,
-# sort order) outside the allocator, so they are only enforced there.
-KNOB_FIELDS_ALLOC_ONLY = ("fit", "order")
-
-# Files allowed to read DmmConfig fields raw: the accessor layer itself,
-# canonicalization/hash/printing, validation, the design-space walker, and
-# the full-skip store's divergence check — all of which legitimately treat
-# the config as plain data.  Tests are excluded wholesale (they build and poke
-# vectors directly).
-KNOB_WHITELIST = (
-    "src/alloc/config.cpp",
-    "src/alloc/config_rules.cpp",
-    "src/alloc/include/dmm/alloc/config.h",
-    "src/alloc/include/dmm/alloc/knobs.h",
-    "src/core/constraints.cpp",
-    "src/core/design_space.cpp",
-    "src/core/checkpoint.cpp",
-    "src/core/cache_snapshot.cpp",
-    # Config serializers: the wire/artifact encoders dump every field as
-    # plain data, never consult one on an allocation path.
-    "src/api/design_api.cpp",
-    "src/runtime/config_artifact.cpp",
-)
+RULES = ("nondet", "unordered-iter", "ptr-order", "raw-parse")
 
 RAW_PARSE_WHITELIST = ("src/core/search.cpp",)
 
@@ -164,26 +117,6 @@ def iter_line_matches(clean_lines, pattern):
     for lineno, line in enumerate(clean_lines, 1):
         for m in pattern.finditer(line):
             yield lineno, line, m
-
-
-def is_write(line, end):
-    """True if the field access ending at `end` is an assignment target."""
-    rest = line[end:].lstrip()
-    if rest.startswith("==") :
-        return False
-    return bool(re.match(r"(=[^=]|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=)",
-                         rest + " "))
-
-
-def check_raw_knob_read(relpath, clean_lines, in_alloc):
-    fields = KNOB_FIELDS + (KNOB_FIELDS_ALLOC_ONLY if in_alloc else ())
-    pat = re.compile(r"(?:\.|->)\s*(%s)\b(?!\s*\()" % "|".join(fields))
-    for lineno, line, m in iter_line_matches(clean_lines, pat):
-        if is_write(line, m.end()):
-            continue
-        yield Finding(relpath, lineno, "raw-knob-read",
-                      f"raw read of DmmConfig::{m.group(1)} — go through "
-                      "KnobView/HardKnobs (dmm/alloc/knobs.h)")
 
 
 NONDET_PAT = re.compile(
@@ -302,13 +235,6 @@ def lint_files(root, paths, scoped=True):
             # pointer-order discipline as src/.
             in_scope = (rel.startswith("src/") or
                         rel.startswith("tools/dmm_capture/"))
-            if (not rel.startswith("tests/") and rel not in KNOB_WHITELIST):
-                # src/runtime/ wraps the policy core for deployment, so the
-                # fit/order knob discipline binds there like in src/alloc/.
-                checks.append(check_raw_knob_read(
-                    rel, clean_lines,
-                    in_alloc=(rel.startswith("src/alloc/") or
-                              rel.startswith("src/runtime/"))))
             if in_scope:
                 checks.append(check_nondet(rel, clean_lines))
                 checks.append(check_unordered_iter(rel, clean_lines,
@@ -319,7 +245,6 @@ def lint_files(root, paths, scoped=True):
                 checks.append(check_raw_parse(rel, clean_lines))
         else:
             checks = [
-                check_raw_knob_read(rel, clean_lines, in_alloc=True),
                 check_nondet(rel, clean_lines),
                 check_unordered_iter(rel, clean_lines, unordered_names),
                 check_ptr_order(rel, clean_lines),
